@@ -18,12 +18,7 @@ AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
       source_(nullptr),
       shared_(false),
       config_rng_(options.seed ^ 0xA5A5A5A5ULL) {
-  if (plan_.rung_budgets.empty()) {
-    throw std::invalid_argument("AshaPlan has no rungs");
-  }
-  rungs_.resize(plan_.rung_budgets.size());
-  rung_stats_.resize(plan_.rung_budgets.size());
-  space_ = SearchSpace(plan_.space);
+  InitRungs();
 }
 
 AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
@@ -36,6 +31,10 @@ AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
       source_(context.source),
       shared_(true),
       config_rng_(options.seed ^ 0xA5A5A5A5ULL) {
+  InitRungs();
+}
+
+void AshaEngine::InitRungs() {
   if (plan_.rung_budgets.empty()) {
     throw std::invalid_argument("AshaPlan has no rungs");
   }
@@ -72,9 +71,9 @@ void AshaEngine::Provision() {
   requested_slots_ = instances;
   pending_slots_ = instances;
   if (!shared_) {
-    // Legacy-identical sequencing: request the pool, then start every
-    // worker at the mean ready latency (ASHA assumes a fixed cluster that
-    // exists for the whole run).
+    // Baseline sequencing (the one tests/golden/asha_oracle.json froze):
+    // request the pool, then start every worker at the mean ready latency
+    // (ASHA assumes a fixed cluster that exists for the whole run).
     cloud_.RequestInstances(instances, workload_.dataset.size_gb, [this](InstanceId id) {
       --pending_slots_;
       owned_instances_.insert(id);
@@ -87,9 +86,15 @@ void AshaEngine::Provision() {
   // Shared cluster: draw from the service's instance source (typically the
   // warm pool, so slots may resolve instantly) and start the pool once
   // every slot settles, scaled down to whatever capacity arrived.
+  const auto on_resolved = [this, gpg] {
+    if (++resolved_slots_ == requested_slots_) {
+      const int capacity = static_cast<int>(owned_instances_.size()) * gpg;
+      StartWorkers(std::min(options_.num_workers, capacity / plan_.gpus_per_trial));
+    }
+  };
   source_->RequestInstances(
       instances, workload_.dataset.size_gb,
-      [this](InstanceId id) {
+      [this, on_resolved](InstanceId id) {
         --pending_slots_;
         if (finished_) {
           source_->ReleaseInstance(id);  // late arrival after an empty run
@@ -97,21 +102,12 @@ void AshaEngine::Provision() {
         }
         owned_instances_.insert(id);
         acquired_at_[id] = sim_.now();
-        if (++resolved_slots_ == requested_slots_) {
-          const int gpg2 = cloud_.profile().gpus_per_instance();
-          const int capacity = static_cast<int>(owned_instances_.size()) * gpg2;
-          StartWorkers(std::min(options_.num_workers, capacity / plan_.gpus_per_trial));
-        }
+        on_resolved();
       },
-      [this] {
+      [this, on_resolved] {
         --pending_slots_;
-        if (finished_) {
-          return;
-        }
-        if (++resolved_slots_ == requested_slots_) {
-          const int gpg2 = cloud_.profile().gpus_per_instance();
-          const int capacity = static_cast<int>(owned_instances_.size()) * gpg2;
-          StartWorkers(std::min(options_.num_workers, capacity / plan_.gpus_per_trial));
+        if (!finished_) {
+          on_resolved();
         }
       });
 }
@@ -313,46 +309,23 @@ bool AshaEngine::OwnsInstance(InstanceId instance) const {
   return owned_instances_.count(instance) > 0;
 }
 
-void AshaEngine::OnPreemption(InstanceId instance) {
+void AshaEngine::OnPreemption(InstanceId instance) { OnInstanceLost(instance, true); }
+
+void AshaEngine::OnCrash(InstanceId instance) { OnInstanceLost(instance, false); }
+
+void AshaEngine::OnInstanceLost(InstanceId instance, bool preempted) {
   if (owned_instances_.erase(instance) == 0) {
     return;
   }
   auto it = acquired_at_.find(instance);
   if (it != acquired_at_.end()) {
-    job_meter_.RecordInstanceUsage(it->second, sim_.now(), 1.0, true);
+    job_meter_.RecordInstanceUsage(it->second, sim_.now(), 1.0, preempted);
     acquired_at_.erase(it);
   }
-  ++report_.preemptions;
+  ++(preempted ? report_.preemptions : report_.crashes);
   if (!finished_ && source_ != nullptr) {
     // Replacement-only recovery: in-flight rung runs carry their own
     // trainer state, so the loss costs a provisioning round, not rework.
-    ++pending_slots_;
-    source_->RequestInstances(
-        1, workload_.dataset.size_gb,
-        [this](InstanceId id) {
-          --pending_slots_;
-          if (finished_) {
-            source_->ReleaseInstance(id);
-            return;
-          }
-          owned_instances_.insert(id);
-          acquired_at_[id] = sim_.now();
-        },
-        [this] { --pending_slots_; });
-  }
-}
-
-void AshaEngine::OnCrash(InstanceId instance) {
-  if (owned_instances_.erase(instance) == 0) {
-    return;
-  }
-  auto it = acquired_at_.find(instance);
-  if (it != acquired_at_.end()) {
-    job_meter_.RecordInstanceUsage(it->second, sim_.now(), 1.0, false);
-    acquired_at_.erase(it);
-  }
-  ++report_.crashes;
-  if (!finished_ && source_ != nullptr) {
     ++pending_slots_;
     source_->RequestInstances(
         1, workload_.dataset.size_gb,

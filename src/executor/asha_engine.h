@@ -1,7 +1,7 @@
 // Compiled-ASHA execution engine: asynchronous successive halving as rung
 // events on the DES kernel, integrated with the planner/executor/service
-// stack (unlike the deprecated src/executor/asha.cc side-car, which owns a
-// private simulation and never flows through either).
+// stack. It is the repository's only ASHA implementation (ASHA is the
+// paper's section 7 baseline).
 //
 // A fixed pool of worker gangs loops with no barriers: each freed worker
 // takes the highest-rung promotable result (a trial whose accuracy placed
@@ -12,9 +12,12 @@
 //     outstanding, so an ASHA job terminates like any staged job and can
 //     carry a deadline through admission control.
 //   * time-limited (num_trials == 0, AshaEngineOptions::time_limit > 0) —
-//     the legacy baseline mode, event-for-event identical to RunAsha()
-//     (same RNG streams, same worker start, same promotion scan order);
-//     Compile.AshaOracleParity holds the two to identical promotion logs.
+//     the baseline mode behind `rubberband asha`: workers keep sampling
+//     until the limit, then in-flight runs drain. tests/golden/
+//     asha_oracle.json freezes the output of the original stand-alone ASHA
+//     executor for several time-limited runs (promotion log, rung stats,
+//     samples, JCT, best trial, cost); Compile.AshaOracleParity holds this
+//     mode to it field for field.
 //
 // Like Executor, the engine runs standalone (owns its simulation + cloud)
 // or shared (joins a SharedClusterContext: the service's timeline, billing
@@ -34,11 +37,25 @@
 #include <set>
 #include <vector>
 
-#include "src/executor/asha.h"
 #include "src/executor/executor.h"
 #include "src/spec/compile.h"
 
 namespace rubberband {
+
+struct AshaRungStats {
+  int completed = 0;  // results recorded at this rung
+  int promoted = 0;   // results promoted to the next rung
+};
+
+// One promotion decision: `trial` placed in the top 1/eta of rung `rung`
+// and was dispatched to rung + 1. The ordered log is the scheduler's full
+// decision trace — two runs agree iff their logs agree.
+struct AshaPromotion {
+  int rung = 0;
+  int trial = -1;
+
+  bool operator==(const AshaPromotion&) const = default;
+};
 
 struct AshaEngineOptions {
   int num_workers = 8;      // concurrent worker gangs (fixed pool)
@@ -77,7 +94,7 @@ class AshaEngine {
   bool finished() const { return finished_; }
   bool Quiescent() const { return finished_ && pending_slots_ == 0; }
 
-  // Oracle-parity introspection (valid once finished).
+  // Decision trace and rung counts (valid once finished).
   const std::vector<AshaPromotion>& promotions() const { return promotions_; }
   const std::vector<AshaRungStats>& rung_stats() const { return rung_stats_; }
   int configurations_sampled() const { return configurations_sampled_; }
@@ -94,6 +111,7 @@ class AshaEngine {
     int rung = 0;
   };
 
+  void InitRungs();
   void Provision();
   void StartWorkers(int count);
   // ASHA's get_job: highest-rung promotable first, then a fresh sample
@@ -106,6 +124,8 @@ class AshaEngine {
   void MaybeFinish();
   void FinishRun();
   void RecordUsage(int gpus, Seconds duration);
+  // Bills the lost instance up to now and requests a replacement.
+  void OnInstanceLost(InstanceId instance, bool preempted);
 
   AshaPlan plan_;
   WorkloadSpec workload_;

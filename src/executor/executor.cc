@@ -140,6 +140,17 @@ void Executor::NoteAcquired(InstanceId id) {
   }
 }
 
+bool Executor::RegisterNode(InstanceId id) {
+  if (std::find(nodes_in_controller_.begin(), nodes_in_controller_.end(), id) !=
+      nodes_in_controller_.end()) {
+    return false;
+  }
+  placement_.AddNode(id);
+  nodes_in_controller_.push_back(id);
+  NoteAcquired(id);
+  return true;
+}
+
 double Executor::HeldMultiplier(InstanceId id, Seconds acquired) const {
   const SpotMarket& spot = cloud_.profile().spot;
   if (!spot.enabled) {
@@ -280,11 +291,7 @@ void Executor::StartStage(int stage) {
 void Executor::BeginTraining(int stage) {
   // Register any newly provisioned instances with the placement controller.
   for (InstanceId id : manager_.ready_instances()) {
-    if (std::find(nodes_in_controller_.begin(), nodes_in_controller_.end(), id) ==
-        nodes_in_controller_.end()) {
-      placement_.AddNode(id);
-      nodes_in_controller_.push_back(id);
-      NoteAcquired(id);
+    if (RegisterNode(id)) {
       report_.trace.Record(sim_.now(), TraceEventType::kInstanceReady, stage, -1, id);
     }
   }
@@ -803,9 +810,7 @@ void Executor::RequestReplacement() {
       return;
     }
     revival_cycles_ = 0;  // capacity came back; future losses retry afresh
-    placement_.AddNode(replacement);
-    nodes_in_controller_.push_back(replacement);
-    NoteAcquired(replacement);
+    RegisterNode(replacement);
     TryRestartPending();
   });
 }

@@ -337,6 +337,12 @@ class Executor {
   void RecordUsage(int gpus, Seconds duration);
   void NoteAcquired(InstanceId id);
   void NoteReleased(InstanceId id);
+  // Joins a ready instance to the placement controller and starts its
+  // billing interval; false if it is already registered. Both the stage
+  // scale-up and the replacement callback may reach the same instance: a
+  // replacement that completes a pending scale-up fires the waiter (and
+  // BeginTraining) before its own callback runs.
+  bool RegisterNode(InstanceId id);
   // Resolves the executor.* registry handles (both constructors).
   void InitMetrics();
   // Records a phase span on the timeline; no-op unless options_.observe.

@@ -117,19 +117,6 @@ PlannedJob PlanNaiveElastic(PlanEvaluator& evaluator);
 PlannedJob PlanGreedy(PlanEvaluator& evaluator);
 PlannedJob PlanGreedyMinTime(PlanEvaluator& evaluator, Money budget);
 
-// Instance-type selection (the paper takes the type as user input and
-// defers selection to Ernest/CherryPick-style systems; this wrapper does
-// the obvious thing those systems enable): compile a plan for each
-// candidate instance type and return the cheapest feasible one. The
-// returned job's `cloud` field says which type won.
-struct TypedPlannedJob {
-  PlannedJob job;
-  CloudProfile cloud;
-};
-TypedPlannedJob PlanWithInstanceSelection(const PlannerInputs& inputs,
-                                          const std::vector<InstanceType>& candidates,
-                                          const PlannerOptions& options = {});
-
 // The dual problem (paper section 1, footnote 1): minimize job completion
 // time subject to a cost budget. Greedy ascent from the cheapest static
 // allocation: each step raises one stage's allocation to the next fair

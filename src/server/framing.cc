@@ -113,14 +113,4 @@ int ReadFrame(Transport& transport, std::string* payload, std::string* error,
                      frame_timeout_ms, error);
 }
 
-bool WriteFrame(int fd, const std::string& payload, std::string* error) {
-  FdTransport transport(fd);
-  return WriteFrame(transport, payload, error);
-}
-
-int ReadFrame(int fd, std::string* payload, std::string* error) {
-  FdTransport transport(fd);
-  return ReadFrame(transport, payload, error);
-}
-
 }  // namespace rubberband

@@ -49,11 +49,6 @@ bool WriteFrame(Transport& transport, const std::string& payload, std::string* e
 int ReadFrame(Transport& transport, std::string* payload, std::string* error,
               int idle_timeout_ms = -1, int frame_timeout_ms = -1);
 
-// Legacy fd entry points (no deadlines, no fault shim); kept for call
-// sites that only ever speak to a live local peer.
-bool WriteFrame(int fd, const std::string& payload, std::string* error);
-int ReadFrame(int fd, std::string* payload, std::string* error);
-
 }  // namespace rubberband
 
 #endif  // SRC_SERVER_FRAMING_H_

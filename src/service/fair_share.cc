@@ -17,7 +17,7 @@ std::vector<int> FairShares(int capacity_gpus, const std::vector<ShareRequest>& 
 
   // Water-filling rounds: any job whose whole demand fits inside its
   // weighted slice of the remaining capacity is satisfied and leaves; its
-  // slack rolls forward (multi_job.cc's roll-forward, concurrently).
+  // slack rolls forward to the jobs still contending.
   int remaining = std::max(0, capacity_gpus);
   bool moved = true;
   while (moved && !active.empty() && remaining > 0) {

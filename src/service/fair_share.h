@@ -1,9 +1,7 @@
 // Weighted max-min fair division of the service's GPU capacity among
 // running tuning jobs.
 //
-// Same roll-forward structure as the multi-job planner's deadline split
-// (src/planner/multi_job.cc), applied across concurrent tenants instead of
-// sequential Hyperband brackets: every job starts with a weight-
+// Water-filling with roll-forward: every job starts with a weight-
 // proportional slice; a job demanding less than its slice takes its demand
 // and the slack rolls forward into the jobs still contending. Jobs that
 // remain bottlenecked at the end split the residual proportionally.

@@ -322,11 +322,9 @@ void TuningService::OnJobDone(size_t index, const ExecutionReport& report) {
   --running_;
   running_set_.erase(std::lower_bound(running_set_.begin(), running_set_.end(), index));
   shares_dirty_ = true;
-  if (config_.release_finished_executors) {
-    // This executor's Finish frame is on the stack right now; park it and
-    // free on a later event once nothing in flight can reach it.
-    retired_executors_.push_back(index);
-  }
+  // This executor's Finish frame is on the stack right now; park it and
+  // free on a later event once nothing in flight can reach it.
+  retired_executors_.push_back(index);
   PumpQueue();
   if (running_ == 0 && queue_.empty() && arrivals_outstanding_ == 0) {
     // The trace is fully served: stop paying for warm capacity.

@@ -173,11 +173,6 @@ struct ServiceConfig {
   // Publish the per-tenant cost gauge (tenant.<name>.cost_dollars). Off at
   // fleet scale: one registry entry per job name.
   bool per_tenant_metrics = true;
-  // Free each executor once its job completes and nothing in flight can
-  // reach it (Executor::Quiescent); freed lazily, never from inside the
-  // executor's own completion callback. Off only to keep executors
-  // inspectable post-run.
-  bool release_finished_executors = true;
 };
 
 struct ServiceReport {

@@ -1,8 +1,7 @@
 // Plan-compiler tests: lowering shape for every scheduler kind, the
 // bit-identity regression (compiled-SHA versus the legacy hard-coded path:
-// same DAG arenas, same trace bytes, same report), and the ASHA oracle —
-// the deprecated src/executor/asha.cc side-car versus compiled-ASHA on the
-// engine, held to identical promotion logs and final-trial selection.
+// same DAG arenas, same trace bytes, same report), and compiled ASHA's
+// bounded mode.
 
 #include <gtest/gtest.h>
 
@@ -188,6 +187,29 @@ TEST(Compile, PlanCompiledHyperbandAggregatesAcrossBrackets) {
   EXPECT_EQ(planned.EstimatedCost().micros(), total_cost.micros());
 }
 
+TEST(Compile, PlanCompiledHyperbandPaysForATighterSharedDeadline) {
+  ExperimentIR ir;
+  ir.scheduler = SchedulerKind::kHyperband;
+  ir.max_iters = 27;
+  ir.reduction_factor = 3;
+  const CompiledPlan compiled = CompileExperiment(ir);
+  const ModelProfile model = ProfileWorkload(ResNet50(Cifar10(), 512)).profile;
+  CloudProfile cloud;
+  cloud.provisioning = ProvisioningModel::Fixed(2.0, 5.0);
+
+  const CompiledPlannedExperiment loose = PlanCompiledExperiment(compiled, model, cloud, Hours(2));
+  const CompiledPlannedExperiment tight =
+      PlanCompiledExperiment(compiled, model, cloud, Minutes(3));
+  ASSERT_TRUE(loose.feasible);
+  ASSERT_TRUE(tight.feasible);
+  EXPECT_GT(tight.EstimatedCost().micros(), loose.EstimatedCost().micros());
+  // An impossible deadline is flagged, with a best-effort plan per bracket.
+  const CompiledPlannedExperiment impossible =
+      PlanCompiledExperiment(compiled, model, cloud, 10.0);
+  EXPECT_FALSE(impossible.feasible);
+  EXPECT_EQ(impossible.units.size(), compiled.units.size());
+}
+
 TEST(Compile, PlanCompiledAshaSizesTheWorkerPool) {
   ExperimentIR ir = ShaIr(27, 2, 18, 3);
   ir.scheduler = SchedulerKind::kAsha;
@@ -277,54 +299,7 @@ TEST(Compile, ShaBitIdentityWithLegacyPath) {
   EXPECT_EQ(unit.trace.ToCsv(), legacy.trace.ToCsv());
 }
 
-// ---- ASHA oracle: deprecated side-car versus the compiled engine -----------
-
-TEST(Compile, AshaOracleParity) {
-  const WorkloadSpec workload = ResNet101Cifar10();
-  const CloudProfile cloud;
-
-  AshaOptions legacy_options;
-  legacy_options.min_iters = 2;
-  legacy_options.max_iters = 18;
-  legacy_options.reduction_factor = 3;
-  legacy_options.gpus_per_trial = 1;
-  legacy_options.num_workers = 4;
-  legacy_options.time_limit = Hours(1);
-  legacy_options.seed = 11;
-  const AshaReport legacy = RunAsha(workload, cloud, legacy_options);
-
-  // The same promotion rule, compiled: rung ladder from the IR, engine in
-  // time-limited parity mode (num_trials = 0).
-  ExperimentIR ir = ShaIr(1, 2, 18, 3);
-  ir.scheduler = SchedulerKind::kAsha;
-  const CompiledPlan compiled = CompileExperiment(ir);
-  AshaPlan plan = *compiled.asha;
-  plan.num_trials = 0;  // parity mode: sample to the time limit, like RunAsha
-
-  AshaEngineOptions engine_options;
-  engine_options.num_workers = 4;
-  engine_options.time_limit = Hours(1);
-  engine_options.seed = 11;
-  AshaEngine engine(plan, workload, cloud, engine_options);
-  const ExecutionReport report = engine.Run();
-
-  // Identical decision trace: the ordered promotion log is the scheduler's
-  // complete output — two implementations agree iff their logs agree.
-  EXPECT_EQ(engine.promotions(), legacy.promotions);
-  EXPECT_EQ(engine.configurations_sampled(), legacy.configurations_sampled);
-  ASSERT_EQ(engine.rung_stats().size(), legacy.rungs.size());
-  for (size_t r = 0; r < legacy.rungs.size(); ++r) {
-    EXPECT_EQ(engine.rung_stats()[r].completed, legacy.rungs[r].completed) << "rung " << r;
-    EXPECT_EQ(engine.rung_stats()[r].promoted, legacy.rungs[r].promoted) << "rung " << r;
-  }
-
-  // Identical final-trial selection and outcome.
-  EXPECT_EQ(report.jct, legacy.jct);
-  EXPECT_EQ(report.best_accuracy, legacy.best_accuracy);
-  ExpectSameConfig(report.best_config, legacy.best_config);
-  EXPECT_EQ(engine.best_config_cum_iters(), legacy.best_config_cum_iters);
-  EXPECT_EQ(report.cost.compute.micros(), legacy.cost.compute.micros());
-}
+// ---- Compiled ASHA (the time-limited oracle check is in asha_test.cc) --------
 
 TEST(Compile, AshaBoundedModeDrainsAtTheTrialBudget) {
   ExperimentIR ir = ShaIr(12, 2, 18, 3);

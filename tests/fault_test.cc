@@ -560,5 +560,44 @@ TEST(ServiceFaults, AttributesFaultsPerJobAndCompletesTheTrace) {
   EXPECT_EQ(report.total_crashes + report.total_provision_failures, attributed);
 }
 
+TEST(ServiceFaults, MixedShapesSurviveCrashesDuringScaleUp) {
+  // A crash replacement can arrive while a stage scale-up is pending: the
+  // arrival fires the scale-up (which registers the new instance) before
+  // the replacement's own callback runs, and registering it a second time
+  // used to abort the run with "node already in cluster". Mixed shapes and
+  // crashes make that overlap common; several of these seeds hit it.
+  const char* const models[] = {"resnet101-cifar10", "resnet152-cifar100", "bert-rte"};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    ServiceConfig config;
+    config.cloud.provisioning = ProvisioningModel::Fixed(30.0, 120.0);
+    config.cloud.fault.mtbf = 900.0;
+    config.capacity_gpus = 32;
+    config.seed = seed;
+    config.replan_on_faults = true;
+    config.warm_pool.max_parked = 8;
+    config.warm_pool.max_idle_seconds = 300.0;
+    TuningService service(config);
+    for (int i = 0; i < 10; ++i) {
+      ExperimentRequest request;
+      request.name = "m" + std::to_string(i);
+      request.workload = *FindWorkload(models[i % 3]);
+      request.ir.scheduler = static_cast<SchedulerKind>(i % 5);
+      request.ir.reduction_factor = 2 + i % 2;
+      request.ir.max_iters = 6 + 3 * (i % 4);
+      request.ir.num_trials = 6 * (1 + i % 4);
+      if (request.ir.scheduler == SchedulerKind::kGrid) {
+        request.ir.grid = GridShape{2, 2, 1};
+      }
+      request.submit_at = 30.0 * i;
+      request.deadline = 4 * 3600.0;
+      service.SubmitExperiment(request);
+    }
+    ServiceReport report;
+    ASSERT_NO_THROW(report = service.Run()) << "seed " << seed;
+    EXPECT_EQ(report.completed + report.rejected, static_cast<int>(report.jobs.size()))
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace rubberband

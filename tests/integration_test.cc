@@ -19,6 +19,11 @@ struct EndToEndCase {
   uint64_t seed;
 };
 
+// Print a case by its name. Without this gtest dumps the struct's raw bytes,
+// and the `name` pointer among them differs from run to run under ASLR, so the
+// listed test names would never be the same twice.
+void PrintTo(const EndToEndCase& c, std::ostream* os) { *os << c.name; }
+
 class EndToEnd : public ::testing::TestWithParam<EndToEndCase> {
  protected:
   static CloudProfile Cloud() {

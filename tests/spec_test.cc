@@ -101,18 +101,22 @@ TEST(Sha, SingleTrialTrainsFullBudget) {
 }
 
 // Property sweep: SHA structure invariants across a parameter grid.
+// Every field is 64-bit so the struct has no padding: gtest names each case
+// by a dump of its raw bytes, and uninitialised padding would put stray
+// memory into the test names.
 struct ShaCase {
-  int n;
+  int64_t n;
   int64_t r;
   int64_t big_r;
-  int eta;
+  int64_t eta;
 };
 
 class ShaProperties : public ::testing::TestWithParam<ShaCase> {};
 
 TEST_P(ShaProperties, StructuralInvariants) {
   const ShaCase& c = GetParam();
-  const ExperimentSpec spec = MakeSha(c.n, c.r, c.big_r, c.eta);
+  const ExperimentSpec spec =
+      MakeSha(static_cast<int>(c.n), c.r, c.big_r, static_cast<int>(c.eta));
   spec.Validate();
 
   // Trial counts follow floor(n / eta^i) and strictly decrease (until 1).

@@ -3,9 +3,10 @@
 //   rubberband plan    [flags]   compile + compare plans for one job
 //   rubberband execute [flags]   compile the elastic plan and run end-to-end
 //   rubberband sweep   [flags]   cost vs deadline exploration
-//   rubberband asha    [flags]   run the legacy ASHA side-car baseline
-//                                (deprecated: prefer execute --scheduler=asha,
-//                                which plans and bills like any other job)
+//   rubberband asha    [flags]   run the time-limited ASHA baseline on a
+//                                fixed pool (--workers, --gpus-per-trial);
+//                                execute --scheduler=asha instead plans and
+//                                bills ASHA like any other job
 //   rubberband serve   [flags]   replay a job-arrival trace on the service
 //   rubberband trace2chrome --in=<trace.csv> [--out=<trace.json>]
 //                                convert a --trace-csv event log to Chrome
@@ -454,25 +455,35 @@ int RunSweep(const Flags& flags, CliSetup& setup) {
   return 0;
 }
 
-int RunAshaCommand(const Flags& flags, CliSetup& setup) {
-  AshaOptions options;
-  options.min_iters = flags.GetInt64("min-iters", 1);
-  options.max_iters = flags.GetInt64("max-iters", 50);
-  options.reduction_factor = flags.GetInt("eta", 3);
+// The ASHA baseline: the compiled kAsha rung ladder on AshaEngine's
+// time-limited mode (no sample cap; workers sample until the deadline,
+// then in-flight runs drain) on a fixed pool of --workers gangs.
+int RunBaselineAsha(const Flags& flags, const CliSetup& setup) {
+  ExperimentIR ir = setup.ir;
+  ir.scheduler = SchedulerKind::kAsha;
+  AshaPlan plan;
+  try {
+    plan = *CompileExperiment(ir).asha;
+  } catch (const std::exception& e) {
+    return Fail(e.what());
+  }
+  plan.num_trials = 0;
+  plan.gpus_per_trial = flags.GetInt("gpus-per-trial", 1);
+  AshaEngineOptions options;
   options.num_workers = flags.GetInt("workers", 8);
-  options.gpus_per_trial = flags.GetInt("gpus-per-trial", 1);
   options.time_limit = setup.deadline;
   options.seed = setup.seed;
-  const AshaReport report = RunAsha(setup.workload, setup.cloud, options);
-  std::printf("ASHA: %d configurations, JCT %s, cost %s\n", report.configurations_sampled,
+  AshaEngine engine(plan, setup.workload, setup.cloud, options);
+  const ExecutionReport report = engine.Run();
+  std::printf("ASHA: %d configurations, JCT %s, cost %s\n", engine.configurations_sampled(),
               FormatDuration(report.jct).c_str(), report.cost.Total().ToString().c_str());
   std::printf("best: %s at %lld iters, accuracy %.1f%%\n",
               report.best_config.ToString().c_str(),
-              static_cast<long long>(report.best_config_cum_iters),
+              static_cast<long long>(engine.best_config_cum_iters()),
               100.0 * report.best_accuracy);
-  for (size_t r = 0; r < report.rungs.size(); ++r) {
-    std::printf("rung %zu: %d completed, %d promoted\n", r, report.rungs[r].completed,
-                report.rungs[r].promoted);
+  for (size_t r = 0; r < engine.rung_stats().size(); ++r) {
+    std::printf("rung %zu: %d completed, %d promoted\n", r, engine.rung_stats()[r].completed,
+                engine.rung_stats()[r].promoted);
   }
   return 0;
 }
@@ -781,7 +792,7 @@ int Main(int argc, char** argv) {
   } else if (command == "sweep") {
     status = RunSweep(flags, setup);
   } else if (command == "asha") {
-    status = RunAshaCommand(flags, setup);
+    status = RunBaselineAsha(flags, setup);
   } else if (command == "serve") {
     status = RunServe(flags, setup);
   } else {
