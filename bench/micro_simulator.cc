@@ -1,23 +1,31 @@
 // Microbenchmarks for RubberBand's own hot paths: DAG construction,
-// Algorithm 1 plan simulation, and the DES kernel itself (EventQueue
-// schedule/run/cancel). The planner calls the simulators in its inner loop,
-// and every runtime layer ticks on the kernel, so these throughputs bound
-// everything above them.
+// Algorithm 1 plan simulation, keyed random streams, and the DES kernel
+// itself (EventQueue schedule/run/cancel). The planner calls the simulators
+// in its inner loop, each drawing from fresh keyed streams, and every
+// runtime layer ticks on the kernel, so these throughputs bound everything
+// above them.
 //
 //   --json <path>   skip google-benchmark and emit the kernel events/s
-//                   baseline as JSON (BENCH_sim.json). Fails (exit 1) if
-//                   any inline-sized callback fell back to the heap — the
-//                   allocation-free hot-path regression check.
+//                   baseline and the random-engine comparison as JSON
+//                   (BENCH_sim.json). Fails (exit 1) if any inline-sized
+//                   callback fell back to the heap — the allocation-free
+//                   hot-path regression check — or if the in-tree engine
+//                   loses its margin over std::mt19937_64 (see RngGate).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
 #include "src/dag/builder.h"
 #include "src/sim/event_queue.h"
 
@@ -92,6 +100,37 @@ BENCHMARK(BM_EndToEndExecution)->Arg(16)->Arg(64);
 
 void BM_EndToEndExecutionObserved(benchmark::State& state) { EndToEndExecution(state, true); }
 BENCHMARK(BM_EndToEndExecutionObserved)->Arg(16)->Arg(64);
+
+// --- Keyed random streams -------------------------------------------------
+//
+// The planner draws stage s of sample i from a fresh Rng::ForStream(seed, s,
+// i) and takes a handful of normals from it; long streams (the simulation's
+// own Rng, fault and spot traces) draw many words from one engine.
+
+void BM_KeyedStreamDraw(benchmark::State& state) {
+  const int draws = static_cast<int>(state.range(0));
+  uint64_t index = 0;
+  for (auto _ : state) {
+    Rng rng = Rng::ForStream(1, 3, index++);
+    double sum = 0.0;
+    for (int i = 0; i < draws; ++i) sum += rng.Normal(0.0, 1.0);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KeyedStreamDraw)->Arg(1)->Arg(8)->Arg(32)->Arg(100);
+
+void BM_LongStreamWords(benchmark::State& state) {
+  Mt19937_64 engine(42);
+  constexpr int kWordsPerIteration = 4096;
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kWordsPerIteration; ++i) sink ^= engine();
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * kWordsPerIteration);
+}
+BENCHMARK(BM_LongStreamWords);
 
 // --- DES kernel microbenchmarks -------------------------------------------
 //
@@ -181,6 +220,101 @@ KernelResult TimeKernel(const std::string& name, int64_t events, Body body) {
   return result;
 }
 
+// --- --json mode: in-tree engine vs std::mt19937_64, in one process --------
+//
+// Both engines run the same templated loops in one process, so the ratio
+// isolates the engine and needs no per-host baseline. The gate fails when
+// a fresh stream plus 8 normals is not at least 2x faster than with the
+// standard engine, or when long-stream words/s is more than 10% slower.
+// Both loops also fold their outputs into a checksum that must agree bit
+// for bit.
+
+constexpr int kRngRepetitions = 5;
+constexpr int kFreshStreams = 50'000;
+constexpr int kFreshNormals = 8;
+constexpr int64_t kLongWords = 20'000'000;
+constexpr double kMinFreshSpeedup = 2.0;
+constexpr double kMinLongRatio = 0.9;
+
+template <typename Engine>
+uint64_t FreshStreams() {
+  uint64_t checksum = 0;
+  for (int s = 0; s < kFreshStreams; ++s) {
+    Engine engine(static_cast<uint64_t>(s) * 0x9E3779B97F4A7C15ULL);
+    for (int i = 0; i < kFreshNormals; ++i) {
+      const double draw = std::normal_distribution<double>(0.0, 1.0)(engine);
+      checksum = checksum * 31 + std::bit_cast<uint64_t>(draw);
+    }
+  }
+  return checksum;
+}
+
+template <typename Engine>
+uint64_t LongStream() {
+  Engine engine(7);
+  uint64_t checksum = 0;
+  for (int64_t i = 0; i < kLongWords; ++i) checksum ^= engine() + static_cast<uint64_t>(i);
+  return checksum;
+}
+
+template <typename Body>
+double WallSeconds(Body body, uint64_t& checksum) {
+  const auto start = std::chrono::steady_clock::now();
+  checksum = body();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+struct PairTiming {
+  double lazy_s = 0.0;  // median wall seconds with the in-tree engine
+  double std_s = 0.0;   // median wall seconds with std::mt19937_64
+  bool checksums_match = true;
+};
+
+// Alternates the two engines rep by rep, so host drift hits both alike.
+template <typename LazyBody, typename StdBody>
+PairTiming MedianPair(LazyBody lazy_body, StdBody std_body) {
+  std::vector<double> lazy, reference;
+  PairTiming timing;
+  for (int rep = 0; rep < kRngRepetitions; ++rep) {
+    uint64_t lazy_sum = 0, std_sum = 0;
+    lazy.push_back(WallSeconds(lazy_body, lazy_sum));
+    reference.push_back(WallSeconds(std_body, std_sum));
+    timing.checksums_match = timing.checksums_match && lazy_sum == std_sum;
+  }
+  std::sort(lazy.begin(), lazy.end());
+  std::sort(reference.begin(), reference.end());
+  timing.lazy_s = lazy[lazy.size() / 2];
+  timing.std_s = reference[reference.size() / 2];
+  return timing;
+}
+
+struct RngGate {
+  double fresh_lazy_us = 0.0;  // per stream: construct + 8 normals
+  double fresh_std_us = 0.0;
+  double long_lazy_words_per_s = 0.0;
+  double long_std_words_per_s = 0.0;
+  bool checksums_match = false;
+
+  double fresh_speedup() const { return fresh_std_us / fresh_lazy_us; }
+  double long_ratio() const { return long_lazy_words_per_s / long_std_words_per_s; }
+  bool ok() const {
+    return checksums_match && fresh_speedup() >= kMinFreshSpeedup &&
+           long_ratio() >= kMinLongRatio;
+  }
+};
+
+RngGate MeasureRngGate() {
+  const PairTiming fresh = MedianPair(FreshStreams<Mt19937_64>, FreshStreams<std::mt19937_64>);
+  const PairTiming long_stream = MedianPair(LongStream<Mt19937_64>, LongStream<std::mt19937_64>);
+  RngGate gate;
+  gate.fresh_lazy_us = fresh.lazy_s * 1e6 / kFreshStreams;
+  gate.fresh_std_us = fresh.std_s * 1e6 / kFreshStreams;
+  gate.long_lazy_words_per_s = kLongWords / long_stream.lazy_s;
+  gate.long_std_words_per_s = kLongWords / long_stream.std_s;
+  gate.checksums_match = fresh.checksums_match && long_stream.checksums_match;
+  return gate;
+}
+
 int JsonMain(const std::string& path) {
   // Sized so each bench runs long enough to time stably (~100ms+) but the
   // whole mode stays under a couple of seconds for CI.
@@ -259,6 +393,20 @@ int JsonMain(const std::string& path) {
     return 1;
   }
 
+  const RngGate rng = MeasureRngGate();
+  std::printf("fresh stream + %d normals: %.3f us (std::mt19937_64 %.3f us, %.2fx faster)\n",
+              kFreshNormals, rng.fresh_lazy_us, rng.fresh_std_us, rng.fresh_speedup());
+  std::printf("long-stream words/s: %.1fM (std::mt19937_64 %.1fM, ratio %.3f)\n",
+              rng.long_lazy_words_per_s / 1e6, rng.long_std_words_per_s / 1e6,
+              rng.long_ratio());
+  if (!rng.ok()) {
+    std::fprintf(stderr,
+                 "error: random-engine gate failed (checksums %s; need fresh speedup >= "
+                 "%.1fx and long-stream ratio >= %.2f)\n",
+                 rng.checksums_match ? "match" : "DIFFER", kMinFreshSpeedup, kMinLongRatio);
+    return 1;
+  }
+
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -273,8 +421,17 @@ int JsonMain(const std::string& path) {
                  result.name.c_str(), static_cast<long long>(result.events), result.wall_s,
                  result.events_per_s, i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(file, "  ],\n  \"callback_heap_fallbacks\": %lld\n}\n",
+  std::fprintf(file, "  ],\n  \"callback_heap_fallbacks\": %lld,\n",
                static_cast<long long>(fallbacks));
+  std::fprintf(file,
+               "  \"rng\": {\"repetitions\": %d, \"nproc\": %u, "
+               "\"fresh_stream_normals\": %d, \"fresh_lazy_us\": %.3f, "
+               "\"fresh_std_us\": %.3f, \"fresh_speedup\": %.2f, "
+               "\"long_lazy_words_per_s\": %.0f, \"long_std_words_per_s\": %.0f, "
+               "\"long_ratio\": %.3f}\n}\n",
+               kRngRepetitions, std::thread::hardware_concurrency(), kFreshNormals,
+               rng.fresh_lazy_us, rng.fresh_std_us, rng.fresh_speedup(),
+               rng.long_lazy_words_per_s, rng.long_std_words_per_s, rng.long_ratio());
   std::fclose(file);
   std::printf("wrote %s\n", path.c_str());
   return 0;

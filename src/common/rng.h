@@ -9,9 +9,51 @@
 #define SRC_COMMON_RNG_H_
 
 #include <cstdint>
-#include <random>
 
 namespace rubberband {
+
+// MT19937-64 whose output is, word for word, that of the standard
+// library's 64-bit Mersenne Twister, but which does the work lazily.
+// Construction stores only the seed. Output k of the first block needs seed
+// words [0, k + 157) and one twist of word k, so the seeding chain and the
+// twist advance one word at a time, in the same in-place order as a
+// whole-block refill. A keyed stream that draws a few dozen words therefore
+// pays for those words, not for 312 seeding steps and a 312-word refill.
+// After the first block, whole blocks are refilled as usual (per-word
+// twisting is slower for long streams).
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(uint64_t seed) { x_[0] = seed; }
+  // Copies only the seeded prefix, so no indeterminate word is ever read.
+  Mt19937_64(const Mt19937_64& other) { *this = other; }
+  Mt19937_64& operator=(const Mt19937_64& other);
+
+  result_type operator()() {
+    if (pos_ == twisted_) Advance();
+    uint64_t z = x_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr int kN = 312;
+
+  // Twists the next word of the first block, or refills a whole block.
+  void Advance();
+
+  // Left uninitialized: construction writes only x_[0], and no word at or
+  // past seeded_ is ever read.
+  uint64_t x_[kN];
+  int seeded_ = 1;   // words [0, seeded_) hold seed or twisted values
+  int twisted_ = 0;  // words [0, twisted_) of the current block are output-ready
+  int pos_ = 0;      // next word to output
+};
 
 class Rng {
  public:
@@ -39,10 +81,8 @@ class Rng {
   // order-independence the stage-incremental plan evaluator relies on.
   static Rng ForStream(uint64_t seed, uint64_t stream, uint64_t index);
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace rubberband

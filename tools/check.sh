@@ -41,11 +41,15 @@
 # to the uninterrupted run.
 #
 # tools/check.sh --perf runs the control-plane/DES-kernel throughput
-# gate in the default build tree: bench/service_throughput --fleet 10000
-# (a 10k-job sha trace plus a 2k-experiment mixed-scheduler trace) under
-# a wall-clock budget (RB_PERF_BUDGET_S, default 60s), plus the kernel
-# microbench allocation check (bench/micro_simulator --json). Any
-# EventCallback heap fallback or budget overrun fails the tier.
+# gate in the default build tree: the EventQueue and RngIdentity suites,
+# then bench/service_throughput --fleet 10000 (a 10k-job sha trace plus
+# a 2k-experiment mixed-scheduler trace) under a wall-clock budget
+# (RB_PERF_BUDGET_S, default 60s), plus the kernel microbench allocation
+# check and random-engine gate (bench/micro_simulator --json). Any
+# EventCallback heap fallback or budget overrun fails the tier, as does
+# the in-tree MT19937-64 losing its margin over an in-process
+# std::mt19937_64: a fresh stream plus 8 normals must be at least 2x
+# faster, and long-stream words/s no more than 10% slower.
 #
 # tools/check.sh --spot runs the spot-market survival tier in the default
 # build tree: the Spot* suites (market mechanics, eager checkpoints,
@@ -114,7 +118,7 @@ elif [[ "${1:-}" == "--chaos" ]]; then
   ctest_args+=(-R "Wal|Idempotency|ServerFault")
   chaos_bench=1
 elif [[ "${1:-}" == "--perf" ]]; then
-  ctest_args+=(-R "EventQueue")
+  ctest_args+=(-R "EventQueue|RngIdentity")
   perf_bench=1
 elif [[ "${1:-}" == "--spot" ]]; then
   ctest_args+=(-R "Spot")
@@ -144,7 +148,7 @@ if [[ -n "$chaos_bench" ]]; then
   ./bench/chaos_server --seeds=3 --jobs=12 --kill-rate=0.3
 fi
 if [[ -n "$perf_bench" ]]; then
-  echo "=== bench/micro_simulator --json: kernel events/s + allocation check ==="
+  echo "=== bench/micro_simulator --json: kernel events/s, allocation check, random-engine gate ==="
   ./bench/micro_simulator --json "$(mktemp)"
   echo "=== bench/service_throughput --fleet 10000: control-plane budget gate ==="
   ./bench/service_throughput --fleet 10000 --budget-s "${RB_PERF_BUDGET_S:-60}"
