@@ -217,6 +217,12 @@ class JsonParser {
       pos_ = start;
       Fail("malformed number '" + token + "'");
     }
+    if (std::isinf(value)) {
+      // JSON has no infinities: a literal past the double range would
+      // otherwise round-trip as the non-JSON token `inf`.
+      pos_ = start;
+      Fail("number '" + token + "' out of range");
+    }
     return JsonValue::MakeNumber(value);
   }
 
@@ -280,7 +286,7 @@ namespace {
 void AppendNumber(std::string& out, double value) {
   // Integral values in the exact double range print as integers; the rest
   // use %.17g, which round-trips any double through the parser.
-  if (value == static_cast<double>(static_cast<int64_t>(value)) && std::abs(value) < 9e15) {
+  if (std::abs(value) < 9e15 && value == static_cast<double>(static_cast<int64_t>(value))) {
     out += std::to_string(static_cast<int64_t>(value));
     return;
   }

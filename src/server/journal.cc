@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -251,63 +250,6 @@ bool TruncateWal(const std::string& path, uint64_t valid_bytes, std::string* err
     *error = "wal truncate '" + path + "': " + std::strerror(errno);
     return false;
   }
-  return true;
-}
-
-// --------------------------------------------------------------------------
-// Snapshot digest envelope.
-
-namespace {
-constexpr char kSnapMagic[] = "RBSNAP1 ";  // trailing space intended
-constexpr size_t kSnapMagicBytes = 8;
-}  // namespace
-
-std::string EncodeDigestFile(const std::string& body) {
-  char header[64];
-  std::snprintf(header, sizeof(header), "%s%08x %zu\n", kSnapMagic, Crc32c(body),
-                body.size());
-  return std::string(header) + body;
-}
-
-bool LooksLikeDigestFile(const std::string& content) {
-  return content.size() >= kSnapMagicBytes &&
-         std::memcmp(content.data(), kSnapMagic, kSnapMagicBytes) == 0;
-}
-
-bool DecodeDigestFile(const std::string& content, std::string* body, std::string* error) {
-  if (!LooksLikeDigestFile(content)) {
-    // Pre-digest snapshot (or a raw JSON string handed straight to
-    // StartRestored): pass through; the JSON layer still validates shape.
-    *body = content;
-    return true;
-  }
-  const size_t newline = content.find('\n');
-  if (newline == std::string::npos) {
-    *error = "snapshot digest header has no terminating newline";
-    return false;
-  }
-  const std::string header = content.substr(kSnapMagicBytes, newline - kSnapMagicBytes);
-  unsigned int crc = 0;
-  size_t size = 0;
-  if (std::sscanf(header.c_str(), "%8x %zu", &crc, &size) != 2) {
-    *error = "snapshot digest header unparseable: '" + header + "'";
-    return false;
-  }
-  const std::string payload = content.substr(newline + 1);
-  if (payload.size() != size) {
-    *error = "snapshot truncated: header promises " + std::to_string(size) +
-             " bytes, file carries " + std::to_string(payload.size());
-    return false;
-  }
-  const uint32_t actual = Crc32c(payload);
-  if (actual != crc) {
-    char message[96];
-    std::snprintf(message, sizeof(message),
-                  "snapshot digest mismatch: header %08x, body %08x", crc, actual);
-    *error = message;
-    return false;
-  }
-  *body = payload;
   return true;
 }
 

@@ -116,20 +116,6 @@ bool ReadWal(const std::string& path, WalReadResult* result, std::string* error)
 // Truncates the journal to `valid_bytes` (torn-tail repair).
 bool TruncateWal(const std::string& path, uint64_t valid_bytes, std::string* error);
 
-// --------------------------------------------------------------------------
-// Digest-carrying snapshot files.
-//
-// A drained snapshot is one JSON document wrapped in a one-line header:
-//   "RBSNAP1 <crc32c-hex8> <body-bytes>\n<body>"
-// so a truncated or bit-flipped snapshot file refuses to restore with a
-// precise error instead of replaying garbage.
-
-std::string EncodeDigestFile(const std::string& body);
-// Accepts either the digest envelope (verified) or, for pre-digest files,
-// a bare JSON body (detected by the missing magic) when `allow_bare`.
-bool DecodeDigestFile(const std::string& content, std::string* body, std::string* error);
-bool LooksLikeDigestFile(const std::string& content);
-
 }  // namespace rubberband
 
 #endif  // SRC_SERVER_JOURNAL_H_

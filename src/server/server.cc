@@ -8,8 +8,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <stdexcept>
 
 #include "src/server/framing.h"
 
@@ -34,22 +32,7 @@ bool Server::Start(std::string* error) {
   // Open() resumes an existing WAL (or starts fresh without one); throws
   // on a corrupt or mismatched journal — refusing to serve beats silently
   // diverging from acknowledged history.
-  return StartWithRunner(ServiceRunner::Open(options_.runner), error);
-}
-
-bool Server::StartRestored(const std::string& snapshot_json, std::string* error) {
-  // Throws on digest/config mismatch / replay divergence — a corrupt
-  // snapshot is an operator problem, not a socket error.
-  std::string body;
-  std::string digest_error;
-  if (!DecodeDigestFile(snapshot_json, &body, &digest_error)) {
-    throw std::runtime_error("snapshot " + digest_error);
-  }
-  return StartWithRunner(ServiceRunner::Restore(options_.runner, body), error);
-}
-
-bool Server::StartWithRunner(std::unique_ptr<ServiceRunner> runner, std::string* error) {
-  runner_ = std::move(runner);
+  runner_ = ServiceRunner::Open(options_.runner);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -198,7 +181,6 @@ void Server::ServiceLoop() {
     batch.clear();
     queue_.DrainFor(&batch, std::chrono::milliseconds(1));
     bool drained = false;
-    std::string snapshot_json;
     for (std::unique_ptr<PendingOp>& op : batch) {
       const int64_t begin_ns = SteadyNowNs();
       OpResult result;
@@ -218,14 +200,8 @@ void Server::ServiceLoop() {
         obs::ObserveNanos(decision_latency, end_ns - op->received_ns);
       }
       if (op->request.method == "drain" && result.ok) {
+        // The runner made the drain durable in the WAL before returning.
         draining_.store(true, std::memory_order_release);
-        snapshot_json = runner_->SnapshotJson();
-        if (!options_.snapshot_path.empty()) {
-          result.body.Set("snapshot_path", JsonValue::MakeString(options_.snapshot_path));
-        }
-        // Persist before acknowledging: once the client sees the drain
-        // response, the snapshot is durable.
-        FinishDrain(snapshot_json);
         drained = true;
       }
       op->reply.set_value(std::move(result));
@@ -251,15 +227,6 @@ void Server::ServiceLoop() {
     done_ = true;
   }
   done_cv_.notify_all();
-}
-
-void Server::FinishDrain(const std::string& snapshot_json) {
-  if (!options_.snapshot_path.empty()) {
-    std::ofstream out(options_.snapshot_path, std::ios::binary | std::ios::trunc);
-    // Digest envelope: a torn or bit-rotted snapshot file fails the CRC on
-    // restore instead of replaying a truncated history.
-    out << EncodeDigestFile(snapshot_json);
-  }
 }
 
 bool Server::draining() const { return draining_.load(std::memory_order_acquire); }

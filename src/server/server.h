@@ -39,10 +39,6 @@ struct ServerOptions {
   // Per-tenant submit rate (token bucket); rate_per_second <= 0 disables.
   RateLimitConfig rate;
   RunnerOptions runner;
-  // Where `drain` (mode "snapshot") persists the service snapshot; empty
-  // keeps the snapshot response-only. Written as a digest file (whole-file
-  // CRC envelope, journal.h) so a torn snapshot is detected on restore.
-  std::string snapshot_path;
   // Read deadlines, milliseconds; <= 0 disables. `idle_timeout_ms` bounds
   // the wait for a frame's FIRST byte (idle-connection reaper);
   // `frame_timeout_ms` bounds every read after it (a peer trickling a
@@ -64,16 +60,13 @@ class Server {
 
   // Binds, listens, and starts the accept + service threads. With
   // runner.wal_path set, Start() resumes from an existing write-ahead
-  // journal (ServiceRunner::Open) and throws std::runtime_error on a
-  // corrupt or mismatched one. On a restore, pass the snapshot file
-  // contents (digest envelope or bare JSON); throws std::runtime_error
-  // when the digest fails or the snapshot does not replay under this
-  // config. Returns false with `*error` set on socket errors.
+  // journal (ServiceRunner::Open) — whether the last server was drained or
+  // killed — and throws std::runtime_error on a corrupt or mismatched one.
+  // Returns false with `*error` set on socket errors.
   bool Start(std::string* error);
-  bool StartRestored(const std::string& snapshot_json, std::string* error);
 
-  // Blocks until a drain request has been fully served (snapshot written /
-  // jobs finished) or Stop() is called from another thread.
+  // Blocks until a drain request has been fully served (drain time durable
+  // in the WAL / jobs finished) or Stop() is called from another thread.
   void Wait();
 
   // Shuts down the listener, all connections, and both thread pools.
@@ -82,7 +75,7 @@ class Server {
 
   // Crash-style stop: like Stop(), but the WAL is abandoned without its
   // final fsync — the closest an in-process server gets to kill -9. No
-  // drain, no snapshot; recovery goes through the WAL.
+  // drain; recovery goes through the WAL.
   void Kill();
 
   int port() const { return port_; }
@@ -104,14 +97,12 @@ class Server {
     std::promise<OpResult> reply;
   };
 
-  bool StartWithRunner(std::unique_ptr<ServiceRunner> runner, std::string* error);
   void AcceptLoop();
   void ConnectionLoop(int fd);
   void ServiceLoop();
   // I/O-thread screening: returns true when `request` was answered locally
   // (rejection) and must not be enqueued.
   bool Prescreen(const Request& request, std::string* response);
-  void FinishDrain(const std::string& snapshot_json);
 
   ServerOptions options_;
   MetricsRegistry metrics_;
@@ -119,7 +110,7 @@ class Server {
   BoundedQueue<std::unique_ptr<PendingOp>> queue_;
   std::unique_ptr<ServiceRunner> runner_;  // touched only by the service thread
 
-  // Owned by StartWithRunner until the threads spawn; Stop() takes it back
+  // Owned by Start until the threads spawn; Stop() takes it back
   // with an exchange so teardown races with the accept thread are benign.
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;

@@ -11,14 +11,13 @@ namespace rubberband {
 
 namespace {
 
-constexpr int kSnapshotVersion = 1;
 constexpr int kWalVersion = 1;
 
 JsonValue Num(double value) { return JsonValue::MakeNumber(value); }
 JsonValue Str(std::string value) { return JsonValue::MakeString(std::move(value)); }
 
-// The config fields a snapshot pins. Replay only reproduces the original
-// run under the original seed/capacity/cloud shape, so restore refuses a
+// The config fields a WAL header pins. Replay only reproduces the original
+// run under the original seed/capacity/cloud shape, so a resume refuses a
 // drifted config instead of silently diverging.
 JsonValue ConfigFingerprint(const ServiceConfig& config) {
   JsonValue fp = JsonValue::MakeObject();
@@ -118,7 +117,6 @@ std::unique_ptr<ServiceRunner> ServiceRunner::Open(const RunnerOptions& options)
   }
 
   runner->wal_stats_.recovered = true;
-  runner->wal_stats_.ops_replayed = static_cast<int64_t>(runner->journal_.size());
   if (wal.torn_tail) {
     if (!TruncateWal(options.wal_path, wal.valid_bytes, &error)) {
       throw std::runtime_error(error);
@@ -144,6 +142,7 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
   const std::string& kind = record.at("kind").string();
   TuningService& service = *service_;
   if (kind == "clock") {
+    // Settled completions, or a drain: either way the live clock stood here.
     service.AdvanceUntil(record.at("at_s").number());
     return;
   }
@@ -195,42 +194,26 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
       throw std::runtime_error(where + ": journal cancel no longer applies: " + error);
     }
   }
-  Op op;
-  op.kind = kind == "submit" ? Op::Kind::kSubmit : Op::Kind::kCancel;
-  op.at = at;
-  op.tenant = record.Has("tenant") ? record.at("tenant").string() : "default";
-  op.params = record.at("params");
+  ++wal_stats_.ops_replayed;
   if (record.Has("idem")) {
-    op.idem = record.at("idem").string();
+    idem_index_[record.at("idem").string()] = record.at("response").ToJson();
   }
-  if (record.Has("response")) {
-    op.response_json = record.at("response").ToJson();
-  }
-  if (!op.idem.empty()) {
-    idem_index_[op.idem] = op.response_json;
-  }
-  journal_.push_back(std::move(op));
 }
 
-JsonValue ServiceRunner::OpToJson(const Op& op) {
-  JsonValue entry = JsonValue::MakeObject();
-  entry.Set("kind", Str(op.kind == Op::Kind::kSubmit ? "submit" : "cancel"));
-  entry.Set("at_s", Num(op.at));
-  entry.Set("tenant", Str(op.tenant));
-  entry.Set("params", op.params);
-  if (!op.idem.empty()) {
-    entry.Set("idem", Str(op.idem));
-  }
-  if (!op.response_json.empty()) {
-    entry.Set("response", JsonValue::Parse(op.response_json));
-  }
-  return entry;
-}
-
-void ServiceRunner::CommitOp(Op op) {
+void ServiceRunner::CommitOp(const char* kind, Seconds at, const Request& request,
+                             JsonValue params, const JsonValue& response) {
   if (wal_.is_open()) {
+    JsonValue entry = JsonValue::MakeObject();
+    entry.Set("kind", Str(kind));
+    entry.Set("at_s", Num(at));
+    entry.Set("tenant", Str(request.tenant));
+    entry.Set("params", std::move(params));
+    if (!request.idem.empty()) {
+      entry.Set("idem", Str(request.idem));
+    }
+    entry.Set("response", response);
     std::string error;
-    if (!wal_.Append(OpToJson(op).ToJson(), &error)) {
+    if (!wal_.Append(entry.ToJson(), &error)) {
       // The op is already applied; failing to journal it means a restart
       // would replay a shorter history than clients observed. Surfacing a
       // hard error (the client sees INTERNAL, not an ack) is the only
@@ -238,10 +221,9 @@ void ServiceRunner::CommitOp(Op op) {
       throw std::runtime_error("wal append failed: " + error);
     }
   }
-  if (!op.idem.empty()) {
-    idem_index_[op.idem] = op.response_json;
+  if (!request.idem.empty()) {
+    idem_index_[request.idem] = response.ToJson();
   }
-  journal_.push_back(std::move(op));
 }
 
 const std::string* ServiceRunner::FindIdempotent(const std::string& key) const {
@@ -252,7 +234,7 @@ const std::string* ServiceRunner::FindIdempotent(const std::string& key) const {
   return it == idem_index_.end() ? nullptr : &it->second;
 }
 
-void ServiceRunner::JournalNewOutcomes() {
+void ServiceRunner::JournalNewOutcomes(bool pin_clock) {
   if (!wal_.is_open()) {
     return;
   }
@@ -265,7 +247,7 @@ void ServiceRunner::JournalNewOutcomes() {
       fresh.push_back(i);
     }
   }
-  if (fresh.empty()) {
+  if (fresh.empty() && !pin_clock) {
     return;
   }
   std::string error;
@@ -353,13 +335,8 @@ OpResult ServiceRunner::HandleSubmit(const Request& request) {
   // replayed and the heaps could pop in different orders.
   service_->AdvanceUntil(service_->now());
 
-  Op op;
-  op.kind = Op::Kind::kSubmit;
-  op.at = service_->now();
-  op.tenant = request.tenant;
-  op.idem = request.idem;
-  op.params = JobRequestToParams(job);
-
+  const Seconds at = service_->now();
+  JsonValue params = JobRequestToParams(job);
   const size_t index = service_->SubmitLive(std::move(job));
   // Run the freshly scheduled group so an immediate arrival's admission
   // decision lands before we answer (submit is synchronous up to the
@@ -372,8 +349,7 @@ OpResult ServiceRunner::HandleSubmit(const Request& request) {
   result.Set("index", Num(static_cast<double>(index)));
   result.Set("now_s", Num(service_->now()));
   // Journal op + decision (write-ahead of the acknowledgement), then reply.
-  op.response_json = result.ToJson();
-  CommitOp(std::move(op));
+  CommitOp("submit", at, request, std::move(params), result);
   return OpResult::Ok(std::move(result));
 }
 
@@ -393,22 +369,16 @@ OpResult ServiceRunner::HandleCancel(const Request& request) {
   // Same clock/op interleaving as replay (see HandleSubmit).
   service_->AdvanceUntil(service_->now());
 
-  Op op;
-  op.kind = Op::Kind::kCancel;
-  op.at = service_->now();
-  op.tenant = request.tenant;
-  op.idem = request.idem;
-  op.params = JsonValue::MakeObject();
-  op.params.Set("job", Str(name));
-
+  const Seconds at = service_->now();
   std::string error;
   if (!service_->CancelLive(index, &error)) {
     return OpResult::Error(kErrConflict, error);
   }
 
   JsonValue result = JobStatusJson(service_->outcome(index));
-  op.response_json = result.ToJson();
-  CommitOp(std::move(op));
+  JsonValue params = JsonValue::MakeObject();
+  params.Set("job", Str(name));
+  CommitOp("cancel", at, request, std::move(params), result);
   return OpResult::Ok(std::move(result));
 }
 
@@ -487,6 +457,9 @@ OpResult ServiceRunner::HandleAdvance(const Request& request) {
     seconds = request.params.at("seconds").number();
   }
   const Seconds target = service_->now() + seconds;
+  if (!std::isfinite(target)) {
+    return OpResult::Error(kErrBadRequest, "field 'seconds' overflows the service clock");
+  }
   const size_t events = service_->AdvanceUntil(target);
   JsonValue result = JsonValue::MakeObject();
   result.Set("now_s", Num(service_->now()));
@@ -503,25 +476,31 @@ OpResult ServiceRunner::HandleDrain(const Request& request) {
     }
     mode = request.params.at("mode").string();
   }
-  draining_ = true;
-  JsonValue result = JsonValue::MakeObject();
-  if (mode == "finish") {
-    // Run every admitted job to completion before stopping; nothing is
-    // left to resume, so the snapshot degenerates to a completed journal.
-    service_->FinishLive();
-    const ServiceReport report = service_->SnapshotReport();
-    result.Set("completed", Num(report.completed));
-    result.Set("in_flight", Num(report.in_flight));
-  } else if (mode == "snapshot") {
-    const ServiceReport report = service_->SnapshotReport();
-    result.Set("completed", Num(report.completed));
-    result.Set("in_flight", Num(report.in_flight));
-  } else {
-    draining_ = false;
+  if (mode != "snapshot" && mode != "finish") {
     return OpResult::Error(kErrBadRequest, "drain mode must be 'snapshot' or 'finish'");
   }
+  draining_ = true;
+  if (mode == "finish") {
+    // Run every admitted job to completion before stopping; nothing is
+    // left to resume but the completed history.
+    service_->FinishLive();
+  }
+  const ServiceReport report = service_->SnapshotReport();
+  JsonValue result = JsonValue::MakeObject();
+  result.Set("completed", Num(report.completed));
+  result.Set("in_flight", Num(report.in_flight));
   result.Set("mode", Str(mode));
   result.Set("now_s", Num(service_->now()));
+  // Pin the drain time (and digest anything that just settled), durably,
+  // before the ack: Open() on this WAL resumes at exactly this clock.
+  JournalNewOutcomes(/*pin_clock=*/true);
+  if (wal_.is_open()) {
+    std::string error;
+    if (!wal_.Sync(&error)) {
+      throw std::runtime_error("wal sync failed: " + error);
+    }
+    result.Set("wal_path", Str(options_.wal_path));
+  }
   return OpResult::Ok(std::move(result));
 }
 
@@ -535,112 +514,6 @@ void ServiceRunner::Tick() {
   service_->AdvanceUntil(service_->now() + options_.auto_advance_step,
                          options_.max_events_per_tick);
   JournalNewOutcomes();
-}
-
-std::string ServiceRunner::SnapshotJson() const {
-  JsonValue snapshot = JsonValue::MakeObject();
-  snapshot.Set("version", Num(kSnapshotVersion));
-  snapshot.Set("config", ConfigFingerprint(options_.service));
-  snapshot.Set("now_s", Num(service_->now()));
-
-  JsonValue ops = JsonValue::MakeArray();
-  for (const Op& op : journal_) {
-    ops.Append(OpToJson(op));
-  }
-  snapshot.Set("ops", std::move(ops));
-
-  // Digest of settled jobs: restore replays the journal and verifies these
-  // outcomes reproduce exactly (cost in exact micro-dollars, no float
-  // round-trip).
-  JsonValue completed = JsonValue::MakeArray();
-  for (size_t i = 0; i < service_->num_jobs(); ++i) {
-    const JobOutcome& outcome = service_->outcome(i);
-    if (outcome.state != JobState::kCompleted) {
-      continue;
-    }
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("job", Str(outcome.name));
-    entry.Set("jct_s", Num(outcome.jct));
-    entry.Set("cost_micros", Num(static_cast<double>(outcome.cost.micros())));
-    entry.Set("best_accuracy", Num(outcome.best_accuracy));
-    completed.Append(std::move(entry));
-  }
-  snapshot.Set("completed", std::move(completed));
-  return snapshot.ToJson();
-}
-
-std::unique_ptr<ServiceRunner> ServiceRunner::Restore(const RunnerOptions& options,
-                                                      const std::string& snapshot_json) {
-  JsonValue snapshot;
-  try {
-    snapshot = JsonValue::Parse(snapshot_json);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("unparseable snapshot: ") + e.what());
-  }
-  if (!snapshot.is_object() || !snapshot.Has("version") ||
-      snapshot.at("version").number() != kSnapshotVersion) {
-    throw std::runtime_error("snapshot missing or unsupported version");
-  }
-  const JsonValue fingerprint = ConfigFingerprint(options.service);
-  if (!snapshot.Has("config") || snapshot.at("config") != fingerprint) {
-    throw std::runtime_error(
-        "snapshot config does not match the server's (seed/capacity/cloud "
-        "must be identical to resume)");
-  }
-
-  // Replay with the WAL detached (see Open); it is rebuilt afterwards so
-  // post-restore crashes recover the resumed history.
-  RunnerOptions replay_options = options;
-  replay_options.wal_path.clear();
-  auto runner = std::make_unique<ServiceRunner>(replay_options);
-  TuningService& service = *runner->service_;
-
-  size_t index = 0;
-  for (const JsonValue& entry : snapshot.at("ops").array()) {
-    runner->ReplayWalRecord(entry, "snapshot op " + std::to_string(index++));
-  }
-  service.AdvanceUntil(snapshot.at("now_s").number());
-
-  // Verify the replayed timeline reproduced every completed job exactly.
-  for (const JsonValue& entry : snapshot.at("completed").array()) {
-    const std::string& name = entry.at("job").string();
-    const size_t job = service.FindJob(name);
-    if (job == TuningService::kNoJob) {
-      throw std::runtime_error("replay diverged: completed job '" + name + "' unknown");
-    }
-    const JobOutcome& outcome = service.outcome(job);
-    if (outcome.state != JobState::kCompleted || outcome.jct != entry.at("jct_s").number() ||
-        static_cast<double>(outcome.cost.micros()) != entry.at("cost_micros").number()) {
-      throw std::runtime_error("replay diverged on job '" + name +
-                               "' (outcome differs from snapshot digest)");
-    }
-  }
-
-  if (!options.wal_path.empty()) {
-    runner->options_.wal_path = options.wal_path;
-    runner->options_.wal = options.wal;
-    std::string error;
-    if (!runner->wal_.Create(options.wal_path, options.wal, &error)) {
-      throw std::runtime_error(error);
-    }
-    JsonValue header = JsonValue::MakeObject();
-    header.Set("kind", Str("header"));
-    header.Set("version", Num(kWalVersion));
-    header.Set("config", fingerprint);
-    if (!runner->wal_.Append(header.ToJson(), &error)) {
-      throw std::runtime_error(error);
-    }
-    for (const Op& op : runner->journal_) {
-      if (!runner->wal_.Append(OpToJson(op).ToJson(), &error)) {
-        throw std::runtime_error(error);
-      }
-    }
-    runner->JournalNewOutcomes();
-    if (!runner->wal_.Sync(&error)) {
-      throw std::runtime_error(error);
-    }
-  }
-  return runner;
 }
 
 }  // namespace rubberband

@@ -9,17 +9,14 @@
 //
 // Restartability is event sourcing. A live service run is a pure function
 // of (seed, config, the stamped operation sequence): every state-changing
-// op (submit, cancel) is journaled with the simulation time at which it was
-// applied. Two durability layers share that journal:
-//
-//   - the drained snapshot (graceful stop): journal + digest of completed
-//     outcomes in one JSON document, restored via Restore();
-//   - the write-ahead log (`journal.{h,cc}`, crash stop): every op is
-//     appended (and, per fsync policy, fsynced) BEFORE its response leaves
-//     the server, so a kill -9 at any byte recovers via Open() — the WAL
-//     replays exactly like a snapshot's op list, torn tails are truncated,
-//     and completed-outcome digest records interleaved in the log verify
-//     the replay reproduced history bit-identically or the resume refuses.
+// op (submit, cancel) is appended to the write-ahead log (`journal.{h,cc}`)
+// with the simulation time at which it was applied, and (per fsync policy)
+// fsynced BEFORE its response leaves the server. Open() resumes from that
+// log after any stop: a kill -9 at any byte (torn tails are truncated) or a
+// drain, which pins its clock in the log so the resume continues at the
+// drained time. Completed-outcome digest records interleaved in the log
+// verify the replay reproduced history bit-identically or the resume
+// refuses.
 
 #ifndef SRC_SERVER_SERVICE_RUNNER_H_
 #define SRC_SERVER_SERVICE_RUNNER_H_
@@ -45,8 +42,8 @@ struct RunnerOptions {
   // stall queued requests. A capped tick still finishes the current
   // same-timestamp group (the replay-determinism invariant).
   size_t max_events_per_tick = 4096;
-  // Write-ahead journal. Empty path disables the WAL (snapshot-only
-  // durability, the PR 6 behavior).
+  // Write-ahead journal. Empty path disables the WAL (nothing survives a
+  // restart).
   std::string wal_path;
   WalOptions wal;
 };
@@ -101,17 +98,6 @@ class ServiceRunner {
   // True once a drain was requested; new submits are refused.
   bool draining() const { return draining_; }
 
-  // Serializes config fingerprint + op journal + completed-job digest.
-  std::string SnapshotJson() const;
-
-  // Rebuilds a runner by replaying a snapshot's journal under `options`.
-  // Throws std::runtime_error on a version/config mismatch, a corrupt op,
-  // or a completed job whose replayed outcome diverges from the digest.
-  // With options.wal_path set, the restored runner rewrites the WAL so
-  // subsequent crashes recover from the resumed history.
-  static std::unique_ptr<ServiceRunner> Restore(const RunnerOptions& options,
-                                                const std::string& snapshot_json);
-
   // Closes the WAL without the final fsync — crash simulation (see
   // WalWriter::Abandon). Safe to call when no WAL is configured.
   void AbandonWal();
@@ -123,16 +109,6 @@ class ServiceRunner {
   int64_t idem_duplicates() const { return idem_duplicates_; }
 
  private:
-  struct Op {
-    enum class Kind { kSubmit, kCancel };
-    Kind kind;
-    Seconds at = 0.0;   // simulation time the op was applied
-    std::string tenant;
-    JsonValue params;   // submit params (journal form) or {"job": name}
-    std::string idem;   // idempotency key, empty when the client sent none
-    std::string response_json;  // the original decision body, serialized
-  };
-
   OpResult HandleSubmit(const Request& request);
   OpResult HandleCancel(const Request& request);
   OpResult HandleStatus(const Request& request);
@@ -142,27 +118,28 @@ class ServiceRunner {
   OpResult HandleAdvance(const Request& request);
   OpResult HandleDrain(const Request& request);
 
-  // Records `op` in the in-memory journal, the idempotency index, and —
-  // when configured — the WAL (append + fsync per policy). Called after
-  // the op applied but before its response leaves Handle(): the WAL write
-  // is ahead of the acknowledgement, which is the durability contract.
-  void CommitOp(Op op);
-  // Appends clock + outcome digest records for newly completed jobs.
-  void JournalNewOutcomes();
+  // Records one applied op — `kind` "submit"/"cancel", applied at
+  // simulation time `at`, with its journal-form `params` (submit params or
+  // {"job": name}) and decision `response` — in the idempotency index and,
+  // when configured, the WAL (append + fsync per policy). Called after the
+  // op applied but before its response leaves Handle(): the WAL write is
+  // ahead of the acknowledgement, which is the durability contract.
+  void CommitOp(const char* kind, Seconds at, const Request& request, JsonValue params,
+                const JsonValue& response);
+  // Appends clock + outcome digest records for newly completed jobs. With
+  // `pin_clock` the clock record is written even when no job completed.
+  void JournalNewOutcomes(bool pin_clock = false);
   // Returns the journaled original decision when `key` was seen before.
   const std::string* FindIdempotent(const std::string& key) const;
 
-  // Shared WAL-record (de)serialization.
-  static JsonValue OpToJson(const Op& op);
   // Replays one WAL record into the service; throws on corruption or
   // divergence. `where` names the record for error messages.
   void ReplayWalRecord(const JsonValue& record, const std::string& where);
 
   RunnerOptions options_;
   std::unique_ptr<TuningService> service_;
-  std::vector<Op> journal_;
   // Idempotency index: key -> serialized original decision body. Rebuilt
-  // from the journal on every recovery path, so it survives restarts.
+  // from the WAL on recovery, so it survives restarts.
   std::map<std::string, std::string> idem_index_;
   int64_t idem_duplicates_ = 0;
   WalWriter wal_;

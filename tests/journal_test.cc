@@ -1,9 +1,9 @@
 // Durability layer of the serving front door: CRC-32C, the write-ahead
 // journal's record format and recovery semantics (torn tails truncated,
-// corruption refused with a byte offset), digest-enveloped snapshot files,
-// and the runner-level contract — a server killed at any byte of the WAL
-// resumes bit-identical to an uninterrupted run, and idempotent retries
-// never double-apply, even across the kill.
+// corruption refused with a byte offset), and the runner-level contract —
+// a server killed at any byte of the WAL resumes bit-identical to an
+// uninterrupted run, and idempotent retries never double-apply, even
+// across the kill.
 
 #include "src/server/journal.h"
 
@@ -201,36 +201,6 @@ TEST(Wal, GarbledMagicAndOversizeLengthAreCorruption) {
   ASSERT_FALSE(ReadWal(path, &result, &error));
   EXPECT_NE(error.find("offset " + std::to_string(kWalMagicBytes)), std::string::npos)
       << error;
-}
-
-// ---------------------------------------------------------------------------
-// Digest-enveloped snapshot files.
-
-TEST(DigestFile, RoundTripsAndDetectsCorruption) {
-  const std::string body = R"({"version":1,"ops":[]})";
-  const std::string encoded = EncodeDigestFile(body);
-  EXPECT_TRUE(LooksLikeDigestFile(encoded));
-
-  std::string decoded;
-  std::string error;
-  ASSERT_TRUE(DecodeDigestFile(encoded, &decoded, &error)) << error;
-  EXPECT_EQ(decoded, body);
-
-  std::string flipped = encoded;
-  flipped[flipped.size() - 2] ^= 0x04;
-  EXPECT_FALSE(DecodeDigestFile(flipped, &decoded, &error));
-  EXPECT_FALSE(error.empty());
-
-  std::string truncated = encoded.substr(0, encoded.size() - 3);
-  EXPECT_FALSE(DecodeDigestFile(truncated, &decoded, &error));
-}
-
-TEST(DigestFile, BareJsonPassesThroughForOldSnapshots) {
-  std::string decoded;
-  std::string error;
-  ASSERT_TRUE(DecodeDigestFile(R"({"version":1})", &decoded, &error)) << error;
-  EXPECT_EQ(decoded, R"({"version":1})");
-  EXPECT_FALSE(LooksLikeDigestFile(R"({"version":1})"));
 }
 
 // ---------------------------------------------------------------------------
@@ -468,25 +438,6 @@ TEST(Idempotency, CancelRetriesAreIdempotentToo) {
   const OpResult bare = runner.Handle(Req("cancel", who));
   EXPECT_FALSE(bare.ok);
   EXPECT_EQ(bare.code, kErrConflict);
-}
-
-TEST(Idempotency, SnapshotRestoreCarriesTheIdempotencyIndex) {
-  const std::string wal = TempPath("wal_idem_snapshot.wal");
-  ServiceRunner first(WalRunner(""));
-  const OpResult original = first.Handle(Req("submit", SubmitParams("exp1"), "key-5"));
-  ASSERT_TRUE(original.ok) << original.message;
-  const std::string snapshot = first.SnapshotJson();
-
-  // Restore rebuilds the index AND rewrites the WAL; a duplicate after a
-  // further crash-restart still answers with the original decision.
-  std::unique_ptr<ServiceRunner> restored = ServiceRunner::Restore(WalRunner(wal), snapshot);
-  restored->AbandonWal();
-  restored.reset();
-  std::unique_ptr<ServiceRunner> reopened = ServiceRunner::Open(WalRunner(wal));
-  const OpResult retry = reopened->Handle(Req("submit", SubmitParams("exp1"), "key-5"));
-  ASSERT_TRUE(retry.ok) << retry.message;
-  EXPECT_EQ(retry.body.ToJson(), original.body.ToJson());
-  EXPECT_EQ(reopened->service().num_jobs(), 1u);
 }
 
 }  // namespace

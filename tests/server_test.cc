@@ -1,6 +1,6 @@
 // Serving front door: framing, the bounded admission queue, per-tenant
 // token buckets, the wire protocol, the single-threaded ServiceRunner
-// (including the drain → snapshot → restore identity contract), and the
+// (including the drain → WAL resume identity contract), and the
 // full framed-TCP server end to end over real sockets.
 
 #include "src/server/server.h"
@@ -319,9 +319,9 @@ TEST(ServiceRunner, DrainRefusesNewSubmitsAndReportsInFlight) {
   EXPECT_EQ(runner.Handle(Req("submit", SubmitParams("exp2"))).code, kErrDraining);
 }
 
-// The acceptance contract: drain mid-run, restore from the snapshot, and
-// every job — in-flight at the drain or already done — finishes with a
-// report bit-identical to a run that was never interrupted.
+// The acceptance contract: drain mid-run (mode "snapshot"), reopen the
+// same WAL, and every job — in-flight at the drain or already done —
+// finishes with a report bit-identical to a run that was never interrupted.
 TEST(ServiceRunner, SnapshotRestoreMatchesAnUninterruptedRun) {
   // Control: two jobs run start to finish in one process.
   ServiceRunner control(SmallRunner());
@@ -330,63 +330,63 @@ TEST(ServiceRunner, SnapshotRestoreMatchesAnUninterruptedRun) {
   control.Handle(Req("submit", SubmitParams("exp2")));
   RunToQuiescence(control);
 
-  // Interrupted: same ops, but drained mid-flight and restored.
-  ServiceRunner first(SmallRunner());
-  first.Handle(Req("submit", SubmitParams("exp1")));
-  first.Handle(Req("advance", AdvanceParams(120.0)));
-  first.Handle(Req("submit", SubmitParams("exp2")));
+  // Interrupted: same ops, but drained mid-flight and resumed from the WAL.
+  RunnerOptions options = SmallRunner();
+  options.wal_path = testing::TempDir() + "/rb_runner_drain_resume.wal";
+  auto first = std::make_unique<ServiceRunner>(options);
+  first->Handle(Req("submit", SubmitParams("exp1")));
+  first->Handle(Req("advance", AdvanceParams(120.0)));
+  first->Handle(Req("submit", SubmitParams("exp2")));
   // Mid-provisioning for exp2, mid-stage for exp1: both still in flight.
-  first.Handle(Req("advance", AdvanceParams(60.0)));
-  const OpResult drained = first.Handle(Req("drain"));
+  first->Handle(Req("advance", AdvanceParams(60.0)));
+  const OpResult drained = first->Handle(Req("drain"));
   ASSERT_TRUE(drained.ok);
   EXPECT_DOUBLE_EQ(drained.body.at("in_flight").number(), 2.0);
+  EXPECT_EQ(drained.body.at("wal_path").string(), options.wal_path);
+  first.reset();
 
-  std::unique_ptr<ServiceRunner> restored =
-      ServiceRunner::Restore(SmallRunner(), first.SnapshotJson());
-  RunToQuiescence(*restored);
+  std::unique_ptr<ServiceRunner> resumed = ServiceRunner::Open(options);
+  EXPECT_EQ(resumed->service().now(), drained.body.at("now_s").number());
+  EXPECT_FALSE(resumed->draining());
+  RunToQuiescence(*resumed);
 
-  ASSERT_EQ(restored->service().num_jobs(), control.service().num_jobs());
+  ASSERT_EQ(resumed->service().num_jobs(), control.service().num_jobs());
   for (size_t i = 0; i < control.service().num_jobs(); ++i) {
     const JobOutcome& a = control.service().outcome(i);
-    const JobOutcome& b = restored->service().outcome(i);
+    const JobOutcome& b = resumed->service().outcome(i);
     EXPECT_EQ(b.state, a.state) << a.name;
     EXPECT_DOUBLE_EQ(b.jct, a.jct) << a.name;
     EXPECT_EQ(b.cost.micros(), a.cost.micros()) << a.name;
     EXPECT_DOUBLE_EQ(b.best_accuracy, a.best_accuracy) << a.name;
     EXPECT_EQ(b.preemptions, a.preemptions) << a.name;
   }
+  std::remove(options.wal_path.c_str());
 }
 
 // A job that completed BEFORE the drain must survive the restart: the
-// restore replays it and verifies its outcome against the snapshot digest.
+// resume replays it and verifies its outcome against the WAL digest.
 TEST(ServiceRunner, CompletedReportsSurviveRestore) {
-  ServiceRunner first(SmallRunner());
-  first.Handle(Req("submit", SubmitParams("done-before-drain")));
-  RunToQuiescence(first);
-  first.Handle(Req("submit", SubmitParams("in-flight")));
-  first.Handle(Req("drain"));
+  RunnerOptions options = SmallRunner();
+  options.wal_path = testing::TempDir() + "/rb_runner_completed_resume.wal";
+  auto first = std::make_unique<ServiceRunner>(options);
+  first->Handle(Req("submit", SubmitParams("done-before-drain")));
+  RunToQuiescence(*first);
+  first->Handle(Req("submit", SubmitParams("in-flight")));
+  const OpResult drained = first->Handle(Req("drain"));
+  ASSERT_TRUE(drained.ok);
 
-  const JobOutcome before = first.service().outcome(0);
+  const JobOutcome before = first->service().outcome(0);
   ASSERT_EQ(before.state, JobState::kCompleted);
+  first.reset();
 
-  std::unique_ptr<ServiceRunner> restored =
-      ServiceRunner::Restore(SmallRunner(), first.SnapshotJson());
-  const JobOutcome& after = restored->service().outcome(0);
+  std::unique_ptr<ServiceRunner> resumed = ServiceRunner::Open(options);
+  EXPECT_EQ(resumed->service().now(), drained.body.at("now_s").number());
+  EXPECT_EQ(resumed->wal_stats().outcomes_verified, 1);
+  const JobOutcome& after = resumed->service().outcome(0);
   EXPECT_EQ(after.state, JobState::kCompleted);
   EXPECT_DOUBLE_EQ(after.jct, before.jct);
   EXPECT_EQ(after.cost.micros(), before.cost.micros());
-}
-
-TEST(ServiceRunner, RestoreRefusesAConfigMismatch) {
-  ServiceRunner first(SmallRunner(/*seed=*/11));
-  first.Handle(Req("submit", SubmitParams("exp1")));
-  first.Handle(Req("drain"));
-  const std::string snapshot = first.SnapshotJson();
-
-  // A different seed replays a different universe; the fingerprint check
-  // must refuse rather than resume into silently divergent state.
-  EXPECT_THROW(ServiceRunner::Restore(SmallRunner(/*seed=*/12), snapshot), std::runtime_error);
-  EXPECT_THROW(ServiceRunner::Restore(SmallRunner(), "{not json"), std::runtime_error);
+  std::remove(options.wal_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -458,10 +458,12 @@ TEST(ServerEndToEnd, MalformedFramesGetBadRequestNotDisconnect) {
   server.Stop();
 }
 
+// A drain (mode "snapshot") pins its clock in the WAL before the ack; a
+// server started on the same WAL resumes there and finishes the in-flight
+// jobs exactly as an uninterrupted run would.
 TEST(ServerEndToEnd, DrainPersistsSnapshotAndRestartFinishesInFlightJobs) {
-  const std::string snapshot_path =
-      testing::TempDir() + "/rb_server_test_snapshot.json";
-  std::remove(snapshot_path.c_str());
+  const std::string wal_path = testing::TempDir() + "/rb_server_test_drain.wal";
+  std::remove(wal_path.c_str());
 
   // Control: the same op sequence, uninterrupted.
   ServiceRunner control(SmallRunner());
@@ -471,8 +473,9 @@ TEST(ServerEndToEnd, DrainPersistsSnapshotAndRestartFinishesInFlightJobs) {
   RunToQuiescence(control);
 
   ServerOptions options = SmallServer();
-  options.snapshot_path = snapshot_path;
+  options.runner.wal_path = wal_path;
   std::string error;
+  double drained_now_s = 0.0;
   {
     Server server(options);
     ASSERT_TRUE(server.Start(&error)) << error;
@@ -483,26 +486,19 @@ TEST(ServerEndToEnd, DrainPersistsSnapshotAndRestartFinishesInFlightJobs) {
     MustCall(client, "submit", SubmitParams("exp2"));
     const JsonValue drained = MustCall(client, "drain", JsonValue::MakeObject());
     EXPECT_DOUBLE_EQ(drained.at("in_flight").number(), 2.0);
-    EXPECT_EQ(drained.at("snapshot_path").string(), snapshot_path);
+    EXPECT_EQ(drained.at("wal_path").string(), wal_path);
+    drained_now_s = drained.at("now_s").number();
     server.Wait();  // returns once the drain has been fully served
     server.Stop();
   }
 
-  std::FILE* file = std::fopen(snapshot_path.c_str(), "rb");
-  ASSERT_NE(file, nullptr) << "drain must persist " << snapshot_path;
-  std::string snapshot;
-  char chunk[4096];
-  size_t read = 0;
-  while ((read = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    snapshot.append(chunk, read);
-  }
-  std::fclose(file);
-
   {
     Server server(options);
-    ASSERT_TRUE(server.StartRestored(snapshot, &error)) << error;
+    ASSERT_TRUE(server.Start(&error)) << error;
     Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    EXPECT_EQ(MustCall(client, "ping", JsonValue::MakeObject()).at("now_s").number(),
+              drained_now_s);
     for (int i = 0; i < 200; ++i) {
       const JsonValue advanced = MustCall(client, "advance", AdvanceParams(600.0));
       if (advanced.at("idle").bool_value()) {
@@ -521,8 +517,9 @@ TEST(ServerEndToEnd, DrainPersistsSnapshotAndRestartFinishesInFlightJobs) {
       EXPECT_DOUBLE_EQ(job.at("best_accuracy").number(), expected.best_accuracy);
     }
     server.Stop();
+    EXPECT_TRUE(server.runner()->wal_stats().recovered);
   }
-  std::remove(snapshot_path.c_str());
+  std::remove(wal_path.c_str());
 }
 
 TEST(ServerEndToEnd, BackpressureBoundsTheHogAndSparesTheCompliant) {
@@ -714,6 +711,23 @@ class RawConn {
       }
       sent += static_cast<size_t>(n);
     }
+  }
+  // Sends `payload` as one frame and returns the response frame's payload
+  // (empty when the connection ends first).
+  std::string RoundTrip(const std::string& payload) {
+    SendAll(EncodeFrame(payload));
+    std::string buffer;
+    std::string response;
+    std::string error;
+    char chunk[4096];
+    while (DecodeFrame(buffer, &response, &error) == 0) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) {
+        return "";
+      }
+      buffer.append(chunk, static_cast<size_t>(n));
+    }
+    return response;
   }
   // Blocks until the peer closes (or data arrives); true on clean EOF.
   bool WaitForEof() {
@@ -938,7 +952,7 @@ TEST(ServerFault, IdempotentRetryAcrossRestartSubmitsExactlyOnce) {
       << error;
   ASSERT_TRUE(original.at("ok").bool_value()) << original.ToJson();
 
-  // kill -9: no drain, no snapshot, WAL abandoned mid-flight.
+  // kill -9: no drain, WAL abandoned mid-flight.
   first->Kill();
   first.reset();
 
@@ -961,6 +975,55 @@ TEST(ServerFault, IdempotentRetryAcrossRestartSubmitsExactlyOnce) {
   second.Stop();
   EXPECT_TRUE(second.runner()->wal_stats().recovered);
   EXPECT_EQ(second.runner()->idem_duplicates(), 1);
+  std::remove(wal_path.c_str());
+}
+
+// JSON has no infinities. A literal past the double range must be a bad
+// request, not a number: acknowledged and journaled as `inf`, it would
+// make the WAL unreadable and the server unable to restart.
+TEST(ServerFault, NonFiniteNumbersAreBadRequestsAndTheWalStillReopens) {
+  const std::string wal_path = testing::TempDir() + "/rb_serverfault_nonfinite.wal";
+  std::remove(wal_path.c_str());
+
+  ServerOptions options = SmallServer();
+  options.runner.wal_path = wal_path;
+  auto first = std::make_unique<Server>(options);
+  std::string error;
+  ASSERT_TRUE(first->Start(&error)) << error;
+  {
+    RawConn conn(first->port());
+    ASSERT_TRUE(conn.ok());
+    const JsonValue submit = JsonValue::Parse(conn.RoundTrip(
+        R"({"id":1,"method":"submit","params":{"name":"inf-deadline","trials":4,)"
+        R"("min_iters":1,"max_iters":4,"eta":2,"deadline_s":1e999}})"));
+    EXPECT_FALSE(submit.at("ok").bool_value()) << submit.ToJson();
+    EXPECT_EQ(submit.at("error").at("code").string(), kErrBadRequest);
+    const JsonValue advance = JsonValue::Parse(
+        conn.RoundTrip(R"({"id":2,"method":"advance","params":{"seconds":1e999}})"));
+    EXPECT_EQ(advance.at("error").at("code").string(), kErrBadRequest) << advance.ToJson();
+  }
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", first->port(), &error)) << error;
+  MustCall(client, "submit", SubmitParams("exp1"));
+  // Finite steps whose sum overflows the clock are refused too.
+  MustCall(client, "advance", AdvanceParams(1e308));
+  JsonValue response;
+  ASSERT_TRUE(client.Call("advance", AdvanceParams(1e308), "default", &response, &error))
+      << error;
+  EXPECT_EQ(response.at("error").at("code").string(), kErrBadRequest) << response.ToJson();
+  client.Close();
+  first->Kill();
+  first.reset();
+
+  Server second(options);
+  ASSERT_NO_THROW(ASSERT_TRUE(second.Start(&error)) << error);
+  ASSERT_TRUE(client.Connect("127.0.0.1", second.port(), &error)) << error;
+  const JsonValue status = MustCall(client, "status", JsonValue::MakeObject());
+  ASSERT_EQ(status.at("jobs").size(), 1u);
+  EXPECT_EQ(status.at("jobs").at(0).at("state").string(), "COMPLETED");
+  client.Close();
+  second.Stop();
+  EXPECT_TRUE(second.runner()->wal_stats().recovered);
   std::remove(wal_path.c_str());
 }
 

@@ -20,7 +20,7 @@
 #
 # tools/check.sh --server runs only the serving front door suite (ctest
 # -L server): framing, admission queue, rate limiter, wire protocol,
-# snapshot/restore, and the socket end-to-end tests.
+# drain → WAL resume, and the socket end-to-end tests.
 #
 # tools/check.sh --sanitize rebuilds into build-asan/ with
 # -fsanitize=address,undefined and runs the suite under both sanitizers
@@ -35,8 +35,9 @@
 # ThreadSanitizer via the tsan ctest label (-DRB_TSAN_SUITE=ON).
 #
 # tools/check.sh --chaos runs the front-door durability tier in the
-# default build tree: the WAL torn-write recovery matrix and idempotency
-# suites (ctest -R), then bench/chaos_server across three seeds — a
+# default build tree: the WAL torn-write recovery matrix, the drain →
+# WAL resume identity tests, and the idempotency suites (ctest -R), then
+# bench/chaos_server across three seeds — a
 # seeded kill/restart schedule whose final report must be byte-identical
 # to the uninterrupted run.
 #
@@ -115,7 +116,7 @@ elif [[ "${1:-}" == "--conformance" ]]; then
 elif [[ "${1:-}" == "--server" ]]; then
   ctest_args+=(-L server)
 elif [[ "${1:-}" == "--chaos" ]]; then
-  ctest_args+=(-R "Wal|Idempotency|ServerFault")
+  ctest_args+=(-R "Wal|Idempotency|ServerFault|SnapshotRestore|SurviveRestore|DrainPersists")
   chaos_bench=1
 elif [[ "${1:-}" == "--perf" ]]; then
   ctest_args+=(-R "EventQueue|RngIdentity")
@@ -126,7 +127,7 @@ elif [[ "${1:-}" == "--spot" ]]; then
 elif [[ $# -eq 0 ]]; then
   budget_s="${RB_SMOKE_BUDGET_S:-300}"
 else
-  echo "usage: tools/check.sh [--conformance|--server|--sanitize|--tsan|--chaos|--perf|--all]" >&2
+  echo "usage: tools/check.sh [--conformance|--server|--sanitize|--tsan|--chaos|--perf|--spot|--all]" >&2
   exit 2
 fi
 

@@ -68,7 +68,9 @@
 //           --listen turns serve into the networked front door:
 //           --host=127.0.0.1 --port=8787 --rate=<submits/s per tenant>
 //           --burst=8 --queue-cap=256 --auto-advance-s=1
-//           --snapshot=rubberband.snapshot.json --restore=<snapshot.json>
+//           --wal=rubberband.wal --wal-fsync=always|batch|off
+//           (a restart with the same --wal resumes where the last server
+//           drained or died)
 // client:   rubberband client <action> --host=.. --port=.. --tenant=..
 //           actions: submit (--name --workload --trials --min-iters
 //           --max-iters --eta --deadline-min --budget --weight), status
@@ -112,6 +114,15 @@ struct CliSetup {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
+}
+
+// Warns about every flag no accessor has read (typos, retired flags), then
+// marks each read so a later call does not warn about it again.
+void WarnUnusedFlags(const Flags& flags) {
+  for (const std::string& key : flags.UnusedKeys()) {
+    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
+    flags.GetString(key);
+  }
 }
 
 // Observability outputs shared by execute and serve. Any of the flags turns
@@ -510,7 +521,7 @@ ServiceConfig BuildServiceConfig(const Flags& flags, const CliSetup& setup,
 }
 
 // `serve --listen`: the networked front door. Blocks until a client drains
-// the server (snapshot written to --snapshot) or the process is killed.
+// the server (drain time durable in --wal) or the process is killed.
 int RunServeListen(const Flags& flags, const ServiceConfig& config) {
   ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
@@ -520,11 +531,10 @@ int RunServeListen(const Flags& flags, const ServiceConfig& config) {
   options.rate.burst = flags.GetDouble("burst", 8.0);
   options.runner.service = config;
   options.runner.auto_advance_step = flags.GetDouble("auto-advance-s", 1.0);
-  options.snapshot_path = flags.GetString("snapshot", "rubberband.snapshot.json");
-  // Crash durability: with --wal set, every submit/cancel is journaled
-  // (and fsynced per --wal-fsync) before its ack, and a restart with the
-  // same --wal resumes from the journal automatically.
-  options.runner.wal_path = flags.GetString("wal", "");
+  // Durability: every submit/cancel is journaled (and fsynced per
+  // --wal-fsync) before its ack, a drain pins its clock there, and a
+  // restart with the same --wal resumes from the journal automatically.
+  options.runner.wal_path = flags.GetString("wal", "rubberband.wal");
   if (flags.Has("wal-fsync")) {
     if (!ParseFsyncPolicy(flags.GetString("wal-fsync", "always"), &options.runner.wal.fsync)) {
       return Fail("--wal-fsync must be always, batch, or off");
@@ -532,28 +542,17 @@ int RunServeListen(const Flags& flags, const ServiceConfig& config) {
   }
   options.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 300'000);
   options.frame_timeout_ms = flags.GetInt("frame-timeout-ms", 30'000);
+  // Every flag the server reads is read by now; a typo should be visible
+  // while it runs, not only after it exits.
+  WarnUnusedFlags(flags);
 
   Server server(options);
   std::string error;
-  const std::string restore_path = flags.GetString("restore", "");
   bool started = false;
-  if (!restore_path.empty()) {
-    std::ifstream in(restore_path, std::ios::binary);
-    if (!in) {
-      return Fail("cannot read snapshot '" + restore_path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    try {
-      started = server.StartRestored(buffer.str(), &error);
-    } catch (const std::exception& e) {
-      return Fail(std::string("snapshot restore failed: ") + e.what());
-    }
-    if (started) {
-      std::fprintf(stderr, "restored from %s\n", restore_path.c_str());
-    }
-  } else {
+  try {
     started = server.Start(&error);
+  } catch (const std::exception& e) {
+    return Fail(std::string("wal resume failed: ") + e.what());
   }
   if (!started) {
     return Fail(error);
@@ -563,8 +562,7 @@ int RunServeListen(const Flags& flags, const ServiceConfig& config) {
   server.Wait();
   server.Stop();
   if (server.draining()) {
-    std::fprintf(stderr, "drained; snapshot at %s (resume with --restore=%s)\n",
-                 options.snapshot_path.c_str(), options.snapshot_path.c_str());
+    std::fprintf(stderr, "drained; resume with --wal=%s\n", options.runner.wal_path.c_str());
   }
   return 0;
 }
@@ -762,9 +760,7 @@ int Main(int argc, char** argv) {
     const std::string action = argv[2];
     const Flags client_flags = Flags::Parse(argc - 3, argv + 3);
     const int status = RunClient(action, client_flags);
-    for (const std::string& key : client_flags.UnusedKeys()) {
-      std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
-    }
+    WarnUnusedFlags(client_flags);
     return status;
   }
 
@@ -773,9 +769,7 @@ int Main(int argc, char** argv) {
   // trace2chrome is a pure file converter — no workload setup (or banner).
   if (command == "trace2chrome") {
     const int status = RunTraceToChrome(flags);
-    for (const std::string& key : flags.UnusedKeys()) {
-      std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
-    }
+    WarnUnusedFlags(flags);
     return status;
   }
 
@@ -800,9 +794,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  for (const std::string& key : flags.UnusedKeys()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
-  }
+  WarnUnusedFlags(flags);
   return status;
 }
 
