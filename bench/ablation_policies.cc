@@ -24,8 +24,9 @@ int main() {
   const ModelProfile profile = ProfileWorkload(workload).profile;
   const Seconds deadline = Minutes(20);
 
-  const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline});
-  const PlannedJob elastic = PlanGreedy({spec, profile, cloud, deadline});
+  PlanEvaluator evaluator({spec, profile, cloud, deadline}, {});
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob elastic = PlanGreedy(evaluator);
 
   struct Row {
     const char* name;

@@ -120,7 +120,8 @@ int Main(int argc, char** argv) {
   ProfilerOptions profiler_options;
   profiler_options.seed = 1;
   const ModelProfile profile = ProfileWorkload(workload, profiler_options).profile;
-  const PlannedJob job = PlanGreedy({spec, profile, bench::P38Cloud(), kDeadline});
+  PlanEvaluator evaluator({spec, profile, bench::P38Cloud(), kDeadline}, {});
+  const PlannedJob job = PlanGreedy(evaluator);
 
   bench::Heading("fault sweep: self-healing executor vs provider fault severity");
   std::printf("plan %s, deadline %s, %d seeds per level\n\n", job.plan.ToString().c_str(),

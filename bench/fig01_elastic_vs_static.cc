@@ -19,8 +19,9 @@ int main() {
   const CloudProfile cloud = P38Cloud(5.0, 10.0);
   const Seconds deadline = Minutes(20);
 
-  const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline});
-  const PlannedJob elastic = PlanGreedy({spec, profile, cloud, deadline});
+  PlanEvaluator evaluator({spec, profile, cloud, deadline}, {});
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob elastic = PlanGreedy(evaluator);
 
   Heading("Figure 1: static vs elastic allocation (GPUs over time, 20-min deadline)");
   std::printf("%s", RenderComparison(spec, fixed.plan, elastic.plan, profile, cloud).c_str());

@@ -51,18 +51,17 @@ void PlanningTable() {
     per_function.pricing.billing = BillingModel::kPerFunction;
 
     std::printf("%-8d |", sigma);
-    using PlannerFn = PlannedJob (*)(const PlannerInputs&, const PlannerOptions&);
+    PlanEvaluator instance_billed({spec, profile, per_instance, deadline}, {});
+    PlanEvaluator function_billed({spec, profile, per_function, deadline}, {});
+    using PlannerFn = PlannedJob (*)(PlanEvaluator&);
     constexpr PlannerFn kStatic = &PlanStatic;
     constexpr PlannerFn kGreedy = &PlanGreedy;
     for (PlannerFn planner : {kStatic, kGreedy}) {
       // Plan under the per-instance model (the provider the job targets),
       // then price the same plan under both billing regimes.
-      const PlannedJob job = planner({spec, profile, per_instance, deadline}, {});
-      PlannerOptions options;
-      const PlanEstimate inst = EstimatePlan({spec, profile, per_instance, deadline},
-                                             job.plan, options);
-      const PlanEstimate func = EstimatePlan({spec, profile, per_function, deadline},
-                                             job.plan, options);
+      const PlannedJob job = planner(instance_billed);
+      const PlanEstimate inst = instance_billed.Evaluate(job.plan);
+      const PlanEstimate func = function_billed.Evaluate(job.plan);
       std::printf(" %12s %12s %s", inst.cost_mean.ToString().c_str(),
                   func.cost_mean.ToString().c_str(), planner == kStatic ? "|" : "");
     }
@@ -164,7 +163,8 @@ int ExecutionSweep(const Flags& flags) {
   ProfilerOptions profiler_options;
   profiler_options.seed = 1;
   const ModelProfile profile = ProfileWorkload(workload, profiler_options).profile;
-  const PlannedJob job = PlanGreedy({spec, profile, bench::P38Cloud(), kDeadline});
+  PlanEvaluator evaluator({spec, profile, bench::P38Cloud(), kDeadline}, {});
+  const PlannedJob job = PlanGreedy(evaluator);
 
   bench::Heading("gray failures: persistent-straggler severity vs detection + quarantine");
   std::printf("plan %s, deadline %s, straggler rate %.2f, %d seeds per level\n\n",

@@ -27,8 +27,9 @@ int main() {
       CloudProfile cloud = P38Cloud();
       cloud.pricing.data_price_per_gb = Money::FromDollars(price);
 
-      const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline});
-      const PlannedJob elastic = PlanGreedy({spec, profile, cloud, deadline});
+      PlanEvaluator evaluator({spec, profile, cloud, deadline}, {});
+      const PlannedJob fixed = PlanStatic(evaluator);
+      const PlannedJob elastic = PlanGreedy(evaluator);
       const double gain =
           fixed.estimate.cost_mean.dollars() / elastic.estimate.cost_mean.dollars();
       std::printf("%-12.2f %14s %14s %9.2fx\n", price,

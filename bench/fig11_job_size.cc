@@ -27,8 +27,9 @@ int main() {
 
       PlannerOptions options;
       options.sim_samples = 10;
-      const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline}, options);
-      const PlannedJob elastic = PlanGreedy({spec, profile, cloud, deadline}, options);
+      PlanEvaluator evaluator({spec, profile, cloud, deadline}, options);
+      const PlannedJob fixed = PlanStatic(evaluator);
+      const PlannedJob elastic = PlanGreedy(evaluator);
       const double gain =
           fixed.estimate.cost_mean.dollars() / elastic.estimate.cost_mean.dollars();
       std::printf("%-10d %14s %14s %9.2fx%s\n", k, fixed.estimate.cost_mean.ToString().c_str(),

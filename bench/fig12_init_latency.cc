@@ -38,8 +38,9 @@ int main() {
 
       PlannerOptions options;
       options.sim_samples = 5;  // large DAG; keep the sweep brisk
-      const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline}, options);
-      const PlannedJob elastic = PlanGreedy({spec, profile, cloud, deadline}, options);
+      PlanEvaluator evaluator({spec, profile, cloud, deadline}, options);
+      const PlannedJob fixed = PlanStatic(evaluator);
+      const PlannedJob elastic = PlanGreedy(evaluator);
       const double gain =
           fixed.estimate.cost_mean.dollars() / elastic.estimate.cost_mean.dollars();
       std::printf("%-18d %14s %14s %9.2fx%s\n", minutes,

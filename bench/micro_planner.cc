@@ -1,8 +1,9 @@
 // Microbenchmarks and ablations for the allocation planners: end-to-end
-// planning latency for each policy, the fresh-DAG vs stage-incremental
-// evaluation paths (cold, warm, and parallel), and the cost of Algorithm
-// 2's multi-warm-start design choice (DESIGN.md ablation: single vs multi
-// warm start, and simulator sample count vs plan quality).
+// planning latency for each policy, PlanEvaluator cold, warm and parallel,
+// and the cost of Algorithm 2's multi-warm-start design choice (DESIGN.md
+// ablation: single vs multi warm start, and simulator sample count vs plan
+// quality). micro_simulator's BM_SimulatePlanEstimate20Samples times one
+// full-DAG sweep, the reference the evaluator is held bit-identical to.
 
 #include <benchmark/benchmark.h>
 
@@ -26,7 +27,8 @@ PlannerInputs Inputs(int trials, double deadline_minutes) {
 void BM_PlanStatic(benchmark::State& state) {
   const PlannerInputs inputs = Inputs(static_cast<int>(state.range(0)), 30.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PlanStatic(inputs));
+    PlanEvaluator evaluator(inputs, PlannerOptions{});
+    benchmark::DoNotOptimize(PlanStatic(evaluator));
   }
 }
 BENCHMARK(BM_PlanStatic)->Arg(16)->Arg(64)->Arg(256);
@@ -34,7 +36,8 @@ BENCHMARK(BM_PlanStatic)->Arg(16)->Arg(64)->Arg(256);
 void BM_PlanNaiveElastic(benchmark::State& state) {
   const PlannerInputs inputs = Inputs(static_cast<int>(state.range(0)), 30.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PlanNaiveElastic(inputs));
+    PlanEvaluator evaluator(inputs, PlannerOptions{});
+    benchmark::DoNotOptimize(PlanNaiveElastic(evaluator));
   }
 }
 BENCHMARK(BM_PlanNaiveElastic)->Arg(16)->Arg(64)->Arg(256);
@@ -45,23 +48,6 @@ void ReportEvalRate(benchmark::State& state, int64_t evals) {
   state.counters["evals_per_s"] =
       benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kIsRate);
 }
-
-// The performance baseline: every candidate rebuilds the DAG and resweeps
-// every node (the pre-evaluator planning path).
-void BM_PlanGreedyBaseline(benchmark::State& state) {
-  const PlannerInputs inputs = Inputs(static_cast<int>(state.range(0)), 30.0);
-  PlannerOptions options;
-  options.evaluation = PlanEvaluation::kFresh;
-  int64_t evals = 0;
-  for (auto _ : state) {
-    PlanEvaluator evaluator(inputs, options);
-    benchmark::DoNotOptimize(PlanGreedy(evaluator));
-    const PlannerCacheStats stats = evaluator.stats();
-    evals += stats.plan_evaluations + stats.plan_memo_hits;
-  }
-  ReportEvalRate(state, evals);
-}
-BENCHMARK(BM_PlanGreedyBaseline)->Arg(16)->Arg(64)->Arg(256);
 
 // Stage-incremental evaluation from a cold cache (one fresh evaluator per
 // plan, as a single-shot CLI invocation would pay).
@@ -119,7 +105,8 @@ void BM_GreedyWarmStarts(benchmark::State& state) {
   }
   double cost = 0.0;
   for (auto _ : state) {
-    const PlannedJob job = PlanGreedy(inputs, options);
+    PlanEvaluator evaluator(inputs, options);
+    const PlannedJob job = PlanGreedy(evaluator);
     cost = job.estimate.cost_mean.dollars();
     benchmark::DoNotOptimize(job);
   }
@@ -134,7 +121,8 @@ void BM_GreedySimSamples(benchmark::State& state) {
   options.sim_samples = static_cast<int>(state.range(0));
   double cost = 0.0;
   for (auto _ : state) {
-    const PlannedJob job = PlanGreedy(inputs, options);
+    PlanEvaluator evaluator(inputs, options);
+    const PlannedJob job = PlanGreedy(evaluator);
     cost = job.estimate.cost_mean.dollars();
     benchmark::DoNotOptimize(job);
   }

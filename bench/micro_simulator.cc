@@ -230,8 +230,8 @@ KernelResult TimeKernel(const std::string& name, int64_t events, Body body) {
 // for bit.
 
 constexpr int kRngRepetitions = 5;
-constexpr int kFreshStreams = 50'000;
-constexpr int kFreshNormals = 8;
+constexpr int kNewStreams = 50'000;
+constexpr int kNewStreamNormals = 8;
 constexpr int64_t kLongWords = 20'000'000;
 constexpr double kMinFreshSpeedup = 2.0;
 constexpr double kMinLongRatio = 0.9;
@@ -239,9 +239,9 @@ constexpr double kMinLongRatio = 0.9;
 template <typename Engine>
 uint64_t FreshStreams() {
   uint64_t checksum = 0;
-  for (int s = 0; s < kFreshStreams; ++s) {
+  for (int s = 0; s < kNewStreams; ++s) {
     Engine engine(static_cast<uint64_t>(s) * 0x9E3779B97F4A7C15ULL);
-    for (int i = 0; i < kFreshNormals; ++i) {
+    for (int i = 0; i < kNewStreamNormals; ++i) {
       const double draw = std::normal_distribution<double>(0.0, 1.0)(engine);
       checksum = checksum * 31 + std::bit_cast<uint64_t>(draw);
     }
@@ -307,8 +307,8 @@ RngGate MeasureRngGate() {
   const PairTiming fresh = MedianPair(FreshStreams<Mt19937_64>, FreshStreams<std::mt19937_64>);
   const PairTiming long_stream = MedianPair(LongStream<Mt19937_64>, LongStream<std::mt19937_64>);
   RngGate gate;
-  gate.fresh_lazy_us = fresh.lazy_s * 1e6 / kFreshStreams;
-  gate.fresh_std_us = fresh.std_s * 1e6 / kFreshStreams;
+  gate.fresh_lazy_us = fresh.lazy_s * 1e6 / kNewStreams;
+  gate.fresh_std_us = fresh.std_s * 1e6 / kNewStreams;
   gate.long_lazy_words_per_s = kLongWords / long_stream.lazy_s;
   gate.long_std_words_per_s = kLongWords / long_stream.std_s;
   gate.checksums_match = fresh.checksums_match && long_stream.checksums_match;
@@ -395,7 +395,7 @@ int JsonMain(const std::string& path) {
 
   const RngGate rng = MeasureRngGate();
   std::printf("fresh stream + %d normals: %.3f us (std::mt19937_64 %.3f us, %.2fx faster)\n",
-              kFreshNormals, rng.fresh_lazy_us, rng.fresh_std_us, rng.fresh_speedup());
+              kNewStreamNormals, rng.fresh_lazy_us, rng.fresh_std_us, rng.fresh_speedup());
   std::printf("long-stream words/s: %.1fM (std::mt19937_64 %.1fM, ratio %.3f)\n",
               rng.long_lazy_words_per_s / 1e6, rng.long_std_words_per_s / 1e6,
               rng.long_ratio());
@@ -429,7 +429,7 @@ int JsonMain(const std::string& path) {
                "\"fresh_std_us\": %.3f, \"fresh_speedup\": %.2f, "
                "\"long_lazy_words_per_s\": %.0f, \"long_std_words_per_s\": %.0f, "
                "\"long_ratio\": %.3f}\n}\n",
-               kRngRepetitions, std::thread::hardware_concurrency(), kFreshNormals,
+               kRngRepetitions, std::thread::hardware_concurrency(), kNewStreamNormals,
                rng.fresh_lazy_us, rng.fresh_std_us, rng.fresh_speedup(),
                rng.long_lazy_words_per_s, rng.long_std_words_per_s, rng.long_ratio());
   std::fclose(file);

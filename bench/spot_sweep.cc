@@ -134,7 +134,8 @@ int Main(int argc, char** argv) {
   ProfilerOptions profiler_options;
   profiler_options.seed = 1;
   const ModelProfile profile = ProfileWorkload(workload, profiler_options).profile;
-  const PlannedJob job = PlanGreedy({spec, profile, bench::P38Cloud(), kDeadline});
+  PlanEvaluator evaluator({spec, profile, bench::P38Cloud(), kDeadline}, {});
+  const PlannedJob job = PlanGreedy(evaluator);
 
   bench::Heading("spot sweep: spot-surviving executor vs market hostility");
   std::printf("plan %s, deadline %s, %d seeds per regime\n\n", job.plan.ToString().c_str(),

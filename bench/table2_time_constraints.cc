@@ -28,7 +28,7 @@ int main() {
 
   struct Policy {
     const char* name;
-    PlannedJob (*plan)(const PlannerInputs&, const PlannerOptions&);
+    PlannedJob (*plan)(PlanEvaluator&);
   };
   const Policy policies[] = {{"Static", &PlanStatic},
                              {"Naive elastic", &PlanNaiveElastic},
@@ -56,7 +56,8 @@ int main() {
 
         PlannerOptions planner_options;
         planner_options.seed = seed;
-        const PlannedJob job = policy.plan({spec, profile, cloud, deadline}, planner_options);
+        PlanEvaluator evaluator({spec, profile, cloud, deadline}, planner_options);
+        const PlannedJob job = policy.plan(evaluator);
         feasible = feasible && job.feasible;
         jct_sim.Add(job.estimate.jct_mean);
         cost_sim.Add(job.estimate.cost_mean.dollars());

@@ -18,8 +18,9 @@ int main() {
   const CloudProfile cloud = P38Cloud(5.0, 10.0);
   const ModelProfile profile = ProfileWorkload(workload).profile;
 
-  const PlannedJob fixed = PlanStatic({spec, profile, cloud, Minutes(20)});
-  const PlannedJob job = CompilePlan(spec, profile, cloud, Minutes(20));
+  PlanEvaluator evaluator({spec, profile, cloud, Minutes(20)}, {});
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob job = PlanGreedy(evaluator);
   const ExecutionReport report = Execute(spec, job.plan, workload, cloud);
 
   Heading("Table 3: cluster schedule for the 20-minute ResNet-101 plan");

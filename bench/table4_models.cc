@@ -39,8 +39,9 @@ int main() {
 
       PlannerOptions planner_options;
       planner_options.seed = seed;
-      const PlannedJob fixed = PlanStatic(inputs, planner_options);
-      const PlannedJob elastic = PlanGreedy(inputs, planner_options);
+      PlanEvaluator evaluator(inputs, planner_options);
+      const PlannedJob fixed = PlanStatic(evaluator);
+      const PlannedJob elastic = PlanGreedy(evaluator);
 
       ExecutorOptions executor_options;
       executor_options.seed = seed;

@@ -30,8 +30,9 @@ int main() {
   cloud.provisioning = ProvisioningModel::Fixed(5.0, 10.0);
 
   const Seconds deadline = Minutes(20);
-  const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline});
-  const PlannedJob job = CompilePlan(spec, profile, cloud, deadline);
+  PlanEvaluator evaluator({spec, profile, cloud, deadline}, {});
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob job = PlanGreedy(evaluator);
 
   std::printf("\nfixed cluster:  %s  cost %s  JCT %s\n", fixed.plan.ToString().c_str(),
               fixed.estimate.cost_mean.ToString().c_str(),

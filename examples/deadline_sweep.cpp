@@ -20,10 +20,13 @@ int main() {
 
   std::printf("%-12s %12s %12s %14s %14s\n", "deadline", "static $", "elastic $",
               "elastic JCT", "elastic plan");
+  // Estimates do not depend on the deadline: one evaluator serves the
+  // whole sweep, re-aimed at each deadline.
+  PlanEvaluator evaluator({spec, profile, cloud, Minutes(16)}, {});
   for (int minutes = 16; minutes <= 60; minutes += 4) {
-    const Seconds deadline = Minutes(minutes);
-    const PlannedJob fixed = PlanStatic({spec, profile, cloud, deadline});
-    const PlannedJob elastic = CompilePlan(spec, profile, cloud, deadline);
+    evaluator.set_deadline(Minutes(minutes));
+    const PlannedJob fixed = PlanStatic(evaluator);
+    const PlannedJob elastic = PlanGreedy(evaluator);
     if (!elastic.feasible) {
       std::printf("%-12d %12s %12s %14s %14s\n", minutes, "-", "-", "infeasible", "-");
       continue;

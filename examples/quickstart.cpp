@@ -31,8 +31,11 @@ int main() {
   cloud.provisioning = ProvisioningModel::Fixed(5.0, 10.0);
   const Seconds deadline = Minutes(20);
 
-  const PlannedJob rubberband = CompilePlan(spec, profiled.profile, cloud, deadline);
-  const PlannedJob fixed = PlanStatic({spec, profiled.profile, cloud, deadline});
+  // One evaluator scores both planners' candidates; plans it has already
+  // simulated are memo hits for the second search.
+  PlanEvaluator evaluator({spec, profiled.profile, cloud, deadline}, {});
+  const PlannedJob rubberband = PlanGreedy(evaluator);
+  const PlannedJob fixed = PlanStatic(evaluator);
 
   std::printf("\n%-12s %-28s %10s %10s\n", "planner", "plan (GPUs per stage)", "JCT", "cost");
   for (const PlannedJob* job : {&fixed, &rubberband}) {

@@ -60,8 +60,9 @@ int main() {
 
   std::printf("%-34s %12s %12s %10s\n", "scenario", "static $", "elastic $", "gain");
   for (const Scenario& scenario : scenarios) {
-    const PlannedJob fixed = PlanStatic({spec, profile, scenario.cloud, deadline});
-    const PlannedJob elastic = CompilePlan(spec, profile, scenario.cloud, deadline);
+    PlanEvaluator evaluator({spec, profile, scenario.cloud, deadline}, {});
+    const PlannedJob fixed = PlanStatic(evaluator);
+    const PlannedJob elastic = PlanGreedy(evaluator);
     const double gain =
         fixed.estimate.cost_mean.dollars() / elastic.estimate.cost_mean.dollars();
     std::printf("%-34s %12s %12s %9.2fx%s\n", scenario.name,

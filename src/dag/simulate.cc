@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/stats.h"
-
 namespace rubberband {
 
 StageDraw SampleStageDraw(const StageBlock& block, uint64_t seed, int sample_index) {
@@ -119,37 +117,31 @@ std::vector<Seconds> MeanFinishTimes(const ExecutionDag& dag) {
   return finish;
 }
 
+void EstimateAccumulator::Add(const PlanSample& sample) {
+  jct_.Add(sample.duration);
+  cost_.Add(sample.cost.dollars());
+  compute_.Add(sample.compute_cost.dollars());
+  data_.Add(sample.data_cost.dollars());
+}
+
+PlanEstimate EstimateAccumulator::Finish() const {
+  PlanEstimate estimate;
+  estimate.jct_mean = jct_.mean();
+  estimate.jct_stddev = jct_.stddev();
+  estimate.cost_mean = Money::FromDollars(cost_.mean());
+  estimate.compute_cost_mean = Money::FromDollars(compute_.mean());
+  estimate.data_cost_mean = Money::FromDollars(data_.mean());
+  estimate.cost_stddev_dollars = cost_.stddev();
+  return estimate;
+}
+
 PlanEstimate SimulatePlan(const ExecutionDag& dag, const ModelProfile& model,
                           const CloudProfile& cloud, const SimulateOptions& options) {
-  RunningStats jct_stats;
-  RunningStats cost_stats;
-  RunningStats compute_stats;
-  RunningStats data_stats;
-  std::vector<double> durations;
-  if (options.collect_percentiles) {
-    durations.reserve(static_cast<size_t>(options.num_samples));
-  }
-
+  EstimateAccumulator accumulator;
   for (int i = 0; i < options.num_samples; ++i) {
-    const PlanSample sample = SamplePlan(dag, model, cloud, options.seed, i);
-    jct_stats.Add(sample.duration);
-    cost_stats.Add(sample.cost.dollars());
-    compute_stats.Add(sample.compute_cost.dollars());
-    data_stats.Add(sample.data_cost.dollars());
-    if (options.collect_percentiles) {
-      durations.push_back(sample.duration);
-    }
+    accumulator.Add(SamplePlan(dag, model, cloud, options.seed, i));
   }
-
-  PlanEstimate estimate;
-  estimate.jct_mean = jct_stats.mean();
-  estimate.jct_stddev = jct_stats.stddev();
-  estimate.jct_p95 = options.collect_percentiles ? Percentile(durations, 95.0) : 0.0;
-  estimate.cost_mean = Money::FromDollars(cost_stats.mean());
-  estimate.compute_cost_mean = Money::FromDollars(compute_stats.mean());
-  estimate.data_cost_mean = Money::FromDollars(data_stats.mean());
-  estimate.cost_stddev_dollars = cost_stats.stddev();
-  return estimate;
+  return accumulator.Finish();
 }
 
 }  // namespace rubberband

@@ -13,7 +13,7 @@
 // block — not on which other stages exist. This makes per-stage results
 // exactly reusable across candidate plans (the stage-incremental
 // PlanEvaluator caches them) while keeping every path bit-identical: the
-// fresh sweep here and the evaluator's cache both call SampleStageDraw.
+// reference sweep here and the evaluator's cache both call SampleStageDraw.
 //
 // Cost, per sample:
 //   * per-function billing sums each billable TRAIN node's GPU-seconds at
@@ -36,6 +36,7 @@
 
 #include "src/cloud/cloud_profile.h"
 #include "src/common/money.h"
+#include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/dag/node.h"
 #include "src/model/profile.h"
@@ -45,7 +46,6 @@ namespace rubberband {
 struct PlanEstimate {
   Seconds jct_mean = 0.0;
   Seconds jct_stddev = 0.0;
-  Seconds jct_p95 = 0.0;  // 0 unless SimulateOptions::collect_percentiles
   Money cost_mean;
   Money compute_cost_mean;
   Money data_cost_mean;
@@ -57,9 +57,6 @@ struct PlanEstimate {
 struct SimulateOptions {
   int num_samples = 20;
   uint64_t seed = 42;
-  // Percentile reporting needs the full per-sample duration vector; the
-  // planner's hot loop only ranks candidates by mean, so it opts out.
-  bool collect_percentiles = true;
 };
 
 // One Monte-Carlo draw of (duration, cost) for the DAG.
@@ -106,11 +103,28 @@ class SampleComposer {
   int total_provisioned_ = 0;
 };
 
+// Folds plan samples into a PlanEstimate. SimulatePlan and PlanEvaluator
+// both summarize through it, so equal samples give equal estimates.
+class EstimateAccumulator {
+ public:
+  void Add(const PlanSample& sample);
+  PlanEstimate Finish() const;
+
+ private:
+  RunningStats jct_;
+  RunningStats cost_;
+  RunningStats compute_;
+  RunningStats data_;
+};
+
 // One full-plan draw for `sample_index` under keyed streams. Requires a
 // BuildDag-produced DAG (the stage blocks drive the sampling).
 PlanSample SamplePlan(const ExecutionDag& dag, const ModelProfile& model,
                       const CloudProfile& cloud, uint64_t seed, int sample_index);
 
+// The reference estimate: every sample drawn from the full DAG. The
+// planners score through PlanEvaluator, whose cached path the tests hold
+// bit-identical to this one.
 PlanEstimate SimulatePlan(const ExecutionDag& dag, const ModelProfile& model,
                           const CloudProfile& cloud, const SimulateOptions& options = {});
 

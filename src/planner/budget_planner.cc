@@ -18,22 +18,6 @@
 #include "src/planner/planner.h"
 
 namespace rubberband {
-
-int NextHigherFairAllocation(int current, int trials) {
-  if (current < 1) {
-    return 1;
-  }
-  if (current >= trials) {
-    return ((current / trials) + 1) * trials;
-  }
-  for (int v = current + 1; v <= trials; ++v) {
-    if (trials % v == 0) {
-      return v;
-    }
-  }
-  return 2 * trials;
-}
-
 namespace {
 
 struct Evaluated {
@@ -147,12 +131,6 @@ PlannedJob PlanGreedyMinTime(PlanEvaluator& evaluator, Money budget) {
   result.estimate = current.estimate;
   result.feasible = true;
   return result;
-}
-
-PlannedJob PlanGreedyMinTime(const PlannerInputs& inputs, Money budget,
-                             const PlannerOptions& options) {
-  PlanEvaluator evaluator(inputs, options);
-  return PlanGreedyMinTime(evaluator, budget);
 }
 
 }  // namespace rubberband

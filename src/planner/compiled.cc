@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/planner/evaluator.h"
+
 namespace rubberband {
 
 Seconds CompiledPlannedExperiment::EstimatedJct() const {
@@ -27,8 +29,8 @@ CompiledPlannedExperiment PlanCompiledExperiment(const CompiledPlan& compiled,
   CompiledPlannedExperiment planned;
   planned.feasible = true;
   for (const CompiledUnit& unit : compiled.units) {
-    const PlannerInputs inputs{unit.spec, model, cloud, deadline};
-    PlannedJob job = compiled.asha ? PlanStatic(inputs, options) : PlanGreedy(inputs, options);
+    PlanEvaluator evaluator(PlannerInputs{unit.spec, model, cloud, deadline}, options);
+    PlannedJob job = compiled.asha ? PlanStatic(evaluator) : PlanGreedy(evaluator);
     planned.feasible = planned.feasible && job.feasible;
     planned.units.push_back(std::move(job));
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/stats.h"
 #include "src/dag/builder.h"
 
 namespace rubberband {
@@ -74,57 +73,6 @@ const PlanEvaluator::StageEntry* PlanEvaluator::GetStage(int stage_index, int gp
   return it->second.get();
 }
 
-PlanEstimate PlanEvaluator::EvaluateFresh(const AllocationPlan& plan) {
-  const ExecutionDag dag = BuildDag(inputs_.spec, plan, inputs_.model, inputs_.cloud);
-  SimulateOptions sim;
-  sim.num_samples = options_.sim_samples;
-  sim.seed = options_.seed;
-  sim.collect_percentiles = false;
-  return SimulatePlan(dag, inputs_.model, inputs_.cloud, sim);
-}
-
-PlanEstimate PlanEvaluator::EvaluateIncremental(const AllocationPlan& plan) {
-  plan.Validate(inputs_.spec.num_stages());
-
-  const int num_stages = inputs_.spec.num_stages();
-  std::vector<const StageEntry*> entries(static_cast<size_t>(num_stages));
-  int prev_instances = 0;
-  for (int i = 0; i < num_stages; ++i) {
-    const StageEntry* entry = GetStage(i, plan.gpus(i), prev_instances);
-    entries[static_cast<size_t>(i)] = entry;
-    prev_instances = entry->block.instances;
-  }
-
-  // Identical composition to SimulatePlan's fresh sweep: same draws, same
-  // arithmetic, same order — so fresh and incremental results match bit
-  // for bit.
-  RunningStats jct_stats;
-  RunningStats cost_stats;
-  RunningStats compute_stats;
-  RunningStats data_stats;
-  for (int s = 0; s < options_.sim_samples; ++s) {
-    SampleComposer composer(inputs_.model, inputs_.cloud);
-    for (const StageEntry* entry : entries) {
-      composer.AddStage(entry->block, entry->draws[static_cast<size_t>(s)]);
-    }
-    const PlanSample sample = composer.Finish();
-    jct_stats.Add(sample.duration);
-    cost_stats.Add(sample.cost.dollars());
-    compute_stats.Add(sample.compute_cost.dollars());
-    data_stats.Add(sample.data_cost.dollars());
-  }
-
-  PlanEstimate estimate;
-  estimate.jct_mean = jct_stats.mean();
-  estimate.jct_stddev = jct_stats.stddev();
-  estimate.jct_p95 = 0.0;
-  estimate.cost_mean = Money::FromDollars(cost_stats.mean());
-  estimate.compute_cost_mean = Money::FromDollars(compute_stats.mean());
-  estimate.data_cost_mean = Money::FromDollars(data_stats.mean());
-  estimate.cost_stddev_dollars = cost_stats.stddev();
-  return estimate;
-}
-
 void PlanEvaluator::ApplyRiskAdjustment(const AllocationPlan& plan,
                                         PlanEstimate* estimate) const {
   const SpotMarket& spot = inputs_.cloud.spot;
@@ -168,16 +116,6 @@ void PlanEvaluator::ApplyRiskAdjustment(const AllocationPlan& plan,
 }
 
 PlanEstimate PlanEvaluator::Evaluate(const AllocationPlan& plan) {
-  if (options_.evaluation == PlanEvaluation::kFresh) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.plan_evaluations;
-    }
-    PlanEstimate estimate = EvaluateFresh(plan);
-    ApplyRiskAdjustment(plan, &estimate);
-    return estimate;
-  }
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = memo_.find(plan.stage_gpus());
@@ -188,7 +126,27 @@ PlanEstimate PlanEvaluator::Evaluate(const AllocationPlan& plan) {
     ++stats_.plan_evaluations;
   }
 
-  PlanEstimate estimate = EvaluateIncremental(plan);
+  plan.Validate(inputs_.spec.num_stages());
+  const int num_stages = inputs_.spec.num_stages();
+  std::vector<const StageEntry*> entries(static_cast<size_t>(num_stages));
+  int prev_instances = 0;
+  for (int i = 0; i < num_stages; ++i) {
+    const StageEntry* entry = GetStage(i, plan.gpus(i), prev_instances);
+    entries[static_cast<size_t>(i)] = entry;
+    prev_instances = entry->block.instances;
+  }
+
+  // Identical composition to SimulatePlan's sweep: same draws, same
+  // arithmetic, same order — so the two match bit for bit.
+  EstimateAccumulator accumulator;
+  for (int s = 0; s < options_.sim_samples; ++s) {
+    SampleComposer composer(inputs_.model, inputs_.cloud);
+    for (const StageEntry* entry : entries) {
+      composer.AddStage(entry->block, entry->draws[static_cast<size_t>(s)]);
+    }
+    accumulator.Add(composer.Finish());
+  }
+  PlanEstimate estimate = accumulator.Finish();
   ApplyRiskAdjustment(plan, &estimate);
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,9 +1,9 @@
-// Stage-incremental, memoized, parallel plan evaluation — the fast path
-// under Algorithm 2's inner loop.
+// Stage-incremental, memoized, parallel plan evaluation: the one way the
+// planners (and everything else) score an allocation plan.
 //
-// EstimatePlan rebuilds the full execution DAG and sweeps every node for
-// every candidate; the greedy step mutates ONE stage, so almost all of
-// that work re-derives results the previous candidate already computed.
+// SimulatePlan over a full BuildDag DAG sweeps every stage for every
+// candidate; the greedy step mutates ONE stage, so almost all of that work
+// re-derives results the previous candidate already computed.
 // PlanEvaluator exploits the keyed sampling streams (see src/dag/simulate.h)
 // to cache at two levels:
 //   * stage cache — per (stage index, gpus, prev_instances): the resolved
@@ -17,12 +17,12 @@
 // Both caches survive set_deadline(): estimates do not depend on the
 // deadline (feasibility is checked by the planners against inputs().deadline).
 //
-// Every estimate is bit-identical to the fresh-DAG path (EstimatePlan with
-// the same seed): both compose the same SampleStageDraw results with the
-// same SampleComposer arithmetic in the same order. EvaluateBatch may fan
-// candidates out over a ThreadPool; evaluation is pure, results land in
-// per-index slots, and counters are mutex-guarded, so parallel runs are
-// bit-identical to serial ones.
+// Every estimate is bit-identical to SimulatePlan(BuildDag(...)) with the
+// same seed and sample count (the tests' reference): both compose the same
+// SampleStageDraw results with the same SampleComposer arithmetic in the
+// same order. EvaluateBatch may fan candidates out over a ThreadPool;
+// evaluation is pure, results land in per-index slots, and counters are
+// mutex-guarded, so parallel runs are bit-identical to serial ones.
 
 #ifndef SRC_PLANNER_EVALUATOR_H_
 #define SRC_PLANNER_EVALUATOR_H_
@@ -113,13 +113,10 @@ class PlanEvaluator {
   };
 
   const StageEntry* GetStage(int stage_index, int gpus, int prev_instances);
-  PlanEstimate EvaluateFresh(const AllocationPlan& plan);
-  PlanEstimate EvaluateIncremental(const AllocationPlan& plan);
   // Risk-aware scoring under a preemptible market: prices each stage's
   // expected rework (restart latency + warning-bounded lost work, times the
-  // stage's expected preemption count) into the estimate. Applied
-  // identically after the fresh and incremental paths (so they still match
-  // bit for bit, and the memo stays consistent); a no-op unless the cloud
+  // stage's expected preemption count) into the estimate before it enters
+  // the memo, so memo hits return it unchanged; a no-op unless the cloud
   // profile's spot market has a preemption hazard, so on-demand planning is
   // unperturbed.
   void ApplyRiskAdjustment(const AllocationPlan& plan, PlanEstimate* estimate) const;

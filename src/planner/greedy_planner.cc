@@ -204,9 +204,4 @@ PlannedJob PlanGreedy(PlanEvaluator& evaluator) {
   return result;
 }
 
-PlannedJob PlanGreedy(const PlannerInputs& inputs, const PlannerOptions& options) {
-  PlanEvaluator evaluator(inputs, options);
-  return PlanGreedy(evaluator);
-}
-
 }  // namespace rubberband

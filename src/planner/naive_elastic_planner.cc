@@ -70,9 +70,4 @@ PlannedJob PlanNaiveElastic(PlanEvaluator& evaluator) {
   return fastest;
 }
 
-PlannedJob PlanNaiveElastic(const PlannerInputs& inputs, const PlannerOptions& options) {
-  PlanEvaluator evaluator(inputs, options);
-  return PlanNaiveElastic(evaluator);
-}
-
 }  // namespace rubberband

@@ -39,12 +39,6 @@ struct PlannerInputs {
   Seconds deadline = 0.0;
 };
 
-// How PlanEvaluator computes estimates. Both modes produce bit-identical
-// results (they share SampleStageDraw/SampleComposer); kFresh rebuilds the
-// DAG per candidate and exists as the performance baseline and as the
-// reference the equivalence tests compare against.
-enum class PlanEvaluation { kIncremental, kFresh };
-
 struct PlannerOptions {
   // Monte-Carlo samples per plan evaluation. All candidates are evaluated
   // with the same seed (common random numbers), so comparisons between
@@ -65,8 +59,6 @@ struct PlannerOptions {
   // (section 4.3, "Warm start": e.g. 1x, 2x, 3x).
   std::vector<double> warm_start_multipliers = {1.0, 2.0, 3.0};
 
-  // Candidate evaluation strategy (see PlanEvaluation).
-  PlanEvaluation evaluation = PlanEvaluation::kIncremental;
   // Threads evaluating a candidate batch (1 = serial). Results are
   // bit-identical at any thread count: evaluations are pure and selection
   // breaks ties by generation order, not completion order.
@@ -82,15 +74,13 @@ struct PlannedJob {
   bool feasible = false;
 };
 
-// Builds the DAG for `plan` and simulates it (the planner's inner loop; also
-// the "simulated" columns of Table 2).
-PlanEstimate EstimatePlan(const PlannerInputs& inputs, const AllocationPlan& plan,
-                          const PlannerOptions& options = {});
-
 // Largest fair allocation strictly below `current` for a stage of `trials`
 // (factor or multiple of `trials`); 0 when current is already 1. This
 // defines Algorithm 2's variable step size.
 int NextLowerFairAllocation(int current, int trials);
+
+// Smallest fair allocation strictly above `current` for `trials`.
+int NextHigherFairAllocation(int current, int trials);
 
 // Smallest fair allocation >= `value` for `trials` (for warm-start rounding).
 int RoundUpToFairAllocation(int value, int trials);
@@ -98,32 +88,24 @@ int RoundUpToFairAllocation(int value, int trials);
 // Largest fair allocation <= `value` for `trials`; 0 when value < 1.
 int FairFloorAllocation(int value, int trials);
 
-// Smallest fair allocation strictly above `current` for `trials`.
-int NextHigherFairAllocation(int current, int trials);
-
-PlannedJob PlanStatic(const PlannerInputs& inputs, const PlannerOptions& options = {});
-PlannedJob PlanNaiveElastic(const PlannerInputs& inputs, const PlannerOptions& options = {});
-PlannedJob PlanGreedy(const PlannerInputs& inputs, const PlannerOptions& options = {});
-
-// Evaluator-sharing overloads: all estimates flow through (and populate)
-// the caller's PlanEvaluator, so repeated planning over the same job —
-// warm starts within one PlanGreedy call, admission followed by dequeue
-// re-planning in the tuning service, replans at stage boundaries — reuses
-// prior stage simulations and whole-plan memo entries. The convenience
-// overloads above construct a private evaluator per call.
+// The planners. Every estimate flows through (and populates) the caller's
+// PlanEvaluator, so planning the same job repeatedly — warm starts within
+// one PlanGreedy call, static and elastic plans side by side, admission
+// followed by dequeue re-planning in the tuning service, replans at stage
+// boundaries — reuses prior stage simulations and whole-plan memo entries.
+// Plans are identical whether the evaluator is fresh or shared.
 class PlanEvaluator;
 PlannedJob PlanStatic(PlanEvaluator& evaluator);
 PlannedJob PlanNaiveElastic(PlanEvaluator& evaluator);
 PlannedJob PlanGreedy(PlanEvaluator& evaluator);
-PlannedJob PlanGreedyMinTime(PlanEvaluator& evaluator, Money budget);
 
 // The dual problem (paper section 1, footnote 1): minimize job completion
 // time subject to a cost budget. Greedy ascent from the cheapest static
 // allocation: each step raises one stage's allocation to the next fair
 // value, picking the candidate with the largest JCT reduction per dollar,
-// while predicted cost stays within `budget`. `inputs.deadline` is ignored.
-PlannedJob PlanGreedyMinTime(const PlannerInputs& inputs, Money budget,
-                             const PlannerOptions& options = {});
+// while predicted cost stays within `budget`. The evaluator's deadline is
+// ignored.
+PlannedJob PlanGreedyMinTime(PlanEvaluator& evaluator, Money budget);
 
 }  // namespace rubberband
 

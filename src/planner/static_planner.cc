@@ -87,9 +87,4 @@ PlannedJob PlanStatic(PlanEvaluator& evaluator) {
   return fastest;
 }
 
-PlannedJob PlanStatic(const PlannerInputs& inputs, const PlannerOptions& options) {
-  PlanEvaluator evaluator(inputs, options);
-  return PlanStatic(evaluator);
-}
-
 }  // namespace rubberband

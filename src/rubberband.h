@@ -40,6 +40,7 @@
 #include "src/model/scaling.h"
 #include "src/placement/controller.h"
 #include "src/planner/compiled.h"
+#include "src/planner/evaluator.h"
 #include "src/planner/plan.h"
 #include "src/planner/planner.h"
 #include "src/planner/render.h"
@@ -62,7 +63,8 @@ namespace rubberband {
 inline PlannedJob CompilePlan(const ExperimentSpec& spec, const ModelProfile& model,
                               const CloudProfile& cloud, Seconds deadline,
                               const PlannerOptions& options = {}) {
-  return PlanGreedy(PlannerInputs{spec, model, cloud, deadline}, options);
+  PlanEvaluator evaluator(PlannerInputs{spec, model, cloud, deadline}, options);
+  return PlanGreedy(evaluator);
 }
 
 // Executes a plan end-to-end on the simulated cloud.

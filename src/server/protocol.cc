@@ -190,6 +190,11 @@ bool ParseJobRequest(const JsonValue& params, JobRequest* request, std::string* 
     *error = "field 'weight' must be > 0";
     return false;
   }
+  if (submit_at > kMaxWireSeconds || deadline_s > kMaxWireSeconds ||
+      submit_at + deadline_s > kMaxWireSeconds) {
+    *error = "fields 'submit_at_s', 'deadline_s' and their sum must be <= 1e12";
+    return false;
+  }
   request->budget = Money::FromDollars(budget);
   request->weight = weight;
   request->submit_at = submit_at;

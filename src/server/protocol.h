@@ -35,6 +35,12 @@ inline constexpr const char* kErrConflict = "CONFLICT";         // op illegal in
 inline constexpr const char* kErrInternal = "INTERNAL";         // handler threw
 inline constexpr const char* kErrTimeout = "TIMEOUT";           // client-side deadline expired
 
+// Largest simulation time the front door accepts, in seconds (about
+// 31,700 years). Far beyond it a double no longer resolves a second, so
+// every stage event of a job placed out there lands on the same instant.
+// Bounds submit_at_s, deadline_s, their sum, and the advance target.
+inline constexpr double kMaxWireSeconds = 1e12;
+
 // A parsed request envelope.
 struct Request {
   JsonValue id;  // echoed verbatim; null when the client sent none

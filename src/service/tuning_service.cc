@@ -178,6 +178,13 @@ PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
   return asha ? PlanStatic(*job.evaluator) : PlanGreedy(*job.evaluator);
 }
 
+void TuningService::RetireEvaluator(Job& job) {
+  if (job.evaluator != nullptr) {
+    retired_cache_ += job.evaluator->stats();
+    job.evaluator.reset();
+  }
+}
+
 void TuningService::OnArrival(size_t index) {
   SweepRetiredExecutors();
   --arrivals_outstanding_;
@@ -191,12 +198,14 @@ void TuningService::OnArrival(size_t index) {
   if (!job.planned.feasible) {
     job.outcome.state = JobState::kRejectedInfeasible;
     obs::Inc(h_.rejected_infeasible);
+    RetireEvaluator(job);
     return;
   }
   if (job.request.budget.dollars() > 0.0 &&
       job.planned.estimate.cost_mean.dollars() > job.request.budget.dollars()) {
     job.outcome.state = JobState::kRejectedOverBudget;
     obs::Inc(h_.rejected_over_budget);
+    RetireEvaluator(job);
     return;
   }
   if (reserved_gpus_ + job.planned.plan.MaxGpus() <= ReservationLimit()) {
@@ -210,6 +219,7 @@ void TuningService::OnArrival(size_t index) {
 
 void TuningService::StartJob(size_t index) {
   Job& job = jobs_[index];
+  RetireEvaluator(job);
   job.outcome.state = JobState::kRunning;
   job.outcome.started_at = sim_.now();
   job.outcome.queue_wait = sim_.now() - job.outcome.submitted_at;
@@ -289,7 +299,7 @@ void TuningService::OnJobDone(size_t index, const ExecutionReport& report) {
   job.outcome.stragglers_quarantined = report.stragglers_quarantined;
   job.outcome.straggler_false_positives = report.straggler_false_positives;
   job.outcome.straggler_mitigation_seconds = report.straggler_mitigation_seconds;
-  replan_cache_ += report.planner_cache;
+  retired_cache_ += report.planner_cache;
   for (const StageLogEntry& stage : report.stage_log) {
     job.outcome.peak_instances = std::max(job.outcome.peak_instances, stage.instances);
   }
@@ -362,6 +372,7 @@ void TuningService::PumpQueue() {
       // Queueing consumed the job's slack; rejecting now is the service's
       // "never silently late" contract — the job is reported, not run.
       job.outcome.state = JobState::kRejectedStale;
+      RetireEvaluator(job);
       queue_.pop_front();
       continue;
     }
@@ -519,6 +530,7 @@ bool TuningService::CancelLive(size_t index, std::string* error) {
     case JobState::kQueued:
       queue_.erase(std::find(queue_.begin(), queue_.end(), index));
       job.outcome.state = JobState::kCancelled;
+      RetireEvaluator(job);
       obs::Inc(h_.cancelled);
       // Cancelling the queue head may unblock jobs behind it.
       PumpQueue();
@@ -627,7 +639,7 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
   for (const auto& entry : shared_evaluators_) {
     report.planner_cache += entry.second->stats();
   }
-  report.planner_cache += replan_cache_;
+  report.planner_cache += retired_cache_;
   report.mean_queue_wait = started > 0 ? total_wait / started : 0.0;
   report.total_cost = cloud_.Cost();
   report.cost_per_completed_job =

@@ -310,9 +310,11 @@ class TuningService {
     // Exactly one of executor / asha_engine runs a started job; ASHA jobs
     // (request.asha set) execute rung events instead of gang barriers.
     std::unique_ptr<AshaEngine> asha_engine;
-    // One evaluator per job, created at admission and kept for the job's
-    // lifetime: dequeue re-planning only moves the deadline, so every stage
-    // simulation and plan memo entry from admission is reused verbatim.
+    // One evaluator per job from arrival until the job starts, is rejected
+    // or is cancelled: dequeue re-planning only moves the deadline, so
+    // every stage simulation and plan memo entry from admission is reused
+    // verbatim. RetireEvaluator then frees it (with its eval_threads - 1
+    // pool threads) and folds its stats into retired_cache_.
     std::unique_ptr<PlanEvaluator> evaluator;
     int share_cap = 0;  // current fair-share GPU cap
   };
@@ -345,6 +347,7 @@ class TuningService {
   void RouteWarning(InstanceId id);
   const ModelProfile& ProfileFor(const WorkloadSpec& workload);
   PlannedJob PlanFor(Job& job, Seconds time_left);
+  void RetireEvaluator(Job& job);
   int ReservationLimit() const;
 
   ServiceConfig config_;
@@ -395,7 +398,8 @@ class TuningService {
   // EventCallback heap fallbacks at construction (the sim.* injection
   // reports this service's delta, not the process-wide total).
   int64_t heap_fallback_baseline_ = 0;
-  PlannerCacheStats replan_cache_;  // summed from finished executors
+  // Summed from retired job evaluators and finished executors.
+  PlannerCacheStats retired_cache_;
   // Cache counters already pushed to the registry: repeated SnapshotReport
   // calls publish only the delta (the registry counters accumulate).
   PlannerCacheStats published_cache_;

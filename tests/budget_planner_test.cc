@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/planner/planner.h"
+#include "src/planner/evaluator.h"
 #include "src/spec/sha.h"
 
 namespace rubberband {
@@ -31,9 +31,9 @@ PlannerInputs TestInputs() {
 }
 
 TEST(BudgetPlanner, RespectsBudget) {
-  const PlannerInputs inputs = TestInputs();
+  PlanEvaluator evaluator(TestInputs(), {});
   for (double budget : {3.0, 5.0, 8.0, 15.0}) {
-    const PlannedJob job = PlanGreedyMinTime(inputs, Money::FromDollars(budget));
+    const PlannedJob job = PlanGreedyMinTime(evaluator, Money::FromDollars(budget));
     if (job.feasible) {
       EXPECT_LE(job.estimate.cost_mean.dollars(), budget) << "budget " << budget;
     }
@@ -41,11 +41,11 @@ TEST(BudgetPlanner, RespectsBudget) {
 }
 
 TEST(BudgetPlanner, MoreBudgetNeverSlower) {
-  const PlannerInputs inputs = TestInputs();
+  PlanEvaluator evaluator(TestInputs(), {});
   double previous_jct = 0.0;
   bool have_previous = false;
   for (double budget : {3.0, 4.0, 6.0, 10.0, 20.0}) {
-    const PlannedJob job = PlanGreedyMinTime(inputs, Money::FromDollars(budget));
+    const PlannedJob job = PlanGreedyMinTime(evaluator, Money::FromDollars(budget));
     if (!job.feasible) {
       continue;
     }
@@ -59,9 +59,9 @@ TEST(BudgetPlanner, MoreBudgetNeverSlower) {
 }
 
 TEST(BudgetPlanner, SpendsBudgetToGoFaster) {
-  const PlannerInputs inputs = TestInputs();
-  const PlannedJob tight = PlanGreedyMinTime(inputs, Money::FromDollars(3.5));
-  const PlannedJob loose = PlanGreedyMinTime(inputs, Money::FromDollars(20.0));
+  PlanEvaluator evaluator(TestInputs(), {});
+  const PlannedJob tight = PlanGreedyMinTime(evaluator, Money::FromDollars(3.5));
+  const PlannedJob loose = PlanGreedyMinTime(evaluator, Money::FromDollars(20.0));
   ASSERT_TRUE(tight.feasible);
   ASSERT_TRUE(loose.feasible);
   EXPECT_LT(loose.estimate.jct_mean, tight.estimate.jct_mean);
@@ -69,7 +69,8 @@ TEST(BudgetPlanner, SpendsBudgetToGoFaster) {
 }
 
 TEST(BudgetPlanner, ImpossibleBudgetIsFlaggedInfeasible) {
-  const PlannedJob job = PlanGreedyMinTime(TestInputs(), Money::FromCents(1));
+  PlanEvaluator evaluator(TestInputs(), {});
+  const PlannedJob job = PlanGreedyMinTime(evaluator, Money::FromCents(1));
   EXPECT_FALSE(job.feasible);
   EXPECT_GT(job.estimate.cost_mean.dollars(), 0.01);
 }
@@ -79,9 +80,10 @@ TEST(BudgetPlanner, DualityWithCostPlanner) {
   // dual planner must achieve a JCT no worse than that deadline.
   PlannerInputs inputs = TestInputs();
   inputs.deadline = Minutes(20);
-  const PlannedJob cost_min = PlanGreedy(inputs);
+  PlanEvaluator evaluator(inputs, {});
+  const PlannedJob cost_min = PlanGreedy(evaluator);
   ASSERT_TRUE(cost_min.feasible);
-  const PlannedJob time_min = PlanGreedyMinTime(inputs, cost_min.estimate.cost_mean);
+  const PlannedJob time_min = PlanGreedyMinTime(evaluator, cost_min.estimate.cost_mean);
   ASSERT_TRUE(time_min.feasible);
   EXPECT_LE(time_min.estimate.jct_mean, inputs.deadline + 1.0);
 }

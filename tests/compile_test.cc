@@ -239,8 +239,8 @@ TEST(Compile, ShaBitIdentityWithLegacyPath) {
   const Seconds deadline = Minutes(45);
 
   // Legacy: hard-coded SHA spec, planner, executor.
-  const PlannedJob legacy_planned =
-      PlanGreedy(PlannerInputs{legacy_spec, model, cloud, deadline});
+  PlanEvaluator legacy_evaluator(PlannerInputs{legacy_spec, model, cloud, deadline}, {});
+  const PlannedJob legacy_planned = PlanGreedy(legacy_evaluator);
   ExecutorOptions options;
   options.seed = seed;
   const ExecutionReport legacy =

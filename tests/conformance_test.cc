@@ -2,9 +2,9 @@
 //
 // Over a grid of (planner x billing model x fault profile) cases, each with
 // a fixed seed, the suite checks three contracts:
-//   1. Planning brackets execution: the planner's simulated estimate
-//      (EstimatePlan through the chosen planner) brackets the executed JCT
-//      and cost within tolerance.
+//   1. Planning brackets execution: the chosen planner's estimate (scored
+//      by its PlanEvaluator) brackets the executed JCT and cost within
+//      tolerance.
 //   2. Metrics reconcile with the trace exactly: registry counters equal
 //      the event counts in the execution trace, the stage-total phase spans
 //      tile [0, JCT] (they sum to the executed makespan), and the cloud's
@@ -84,13 +84,14 @@ CloudProfile CaseCloud(const ConformanceCase& test_case) {
 }
 
 PlannedJob PlanCase(const ConformanceCase& test_case, const PlannerInputs& inputs) {
+  PlanEvaluator evaluator(inputs, {});
   if (std::string(test_case.planner) == "static") {
-    return PlanStatic(inputs);
+    return PlanStatic(evaluator);
   }
   if (std::string(test_case.planner) == "naive") {
-    return PlanNaiveElastic(inputs);
+    return PlanNaiveElastic(evaluator);
   }
-  return PlanGreedy(inputs);
+  return PlanGreedy(evaluator);
 }
 
 // Runs the planned job on its own simulation + cloud (shared-cluster mode,

@@ -263,7 +263,6 @@ TEST(DagSimulate, SampleCountControlsEstimateStability) {
   const ExecutionDag dag = BuildDag(spec, AllocationPlan({8}), profile, InstantCloud());
   const PlanEstimate small = SimulatePlan(dag, profile, InstantCloud(), {5, 1});
   const PlanEstimate large = SimulatePlan(dag, profile, InstantCloud(), {500, 1});
-  EXPECT_GT(large.jct_p95, large.jct_mean);
   EXPECT_NEAR(small.jct_mean, large.jct_mean, 0.1 * large.jct_mean);
 }
 

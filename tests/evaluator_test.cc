@@ -1,6 +1,7 @@
-// Equivalence and instrumentation tests for the fast planning path: the
-// stage-incremental PlanEvaluator must be bit-identical to the fresh-DAG
-// simulation, serial or parallel, and its caches must be observable.
+// Equivalence and instrumentation tests for the planning path: the
+// stage-incremental PlanEvaluator must be bit-identical to the full-DAG
+// reference (SimulatePlan over BuildDag), serial or parallel, and its
+// caches must be observable.
 
 #include "src/planner/evaluator.h"
 
@@ -10,6 +11,7 @@
 #include <stdexcept>
 
 #include "src/common/thread_pool.h"
+#include "src/dag/builder.h"
 #include "src/spec/sha.h"
 #include "src/trainer/model_zoo.h"
 
@@ -80,14 +82,14 @@ void ExpectSameEstimate(const PlanEstimate& a, const PlanEstimate& b) {
   EXPECT_EQ(a.cost_stddev_dollars, b.cost_stddev_dollars);
 }
 
+// The reference is SimulatePlan over a freshly built DAG: every sample
+// re-drawn for every stage. One evaluator scores all six plans, so later
+// plans compose cached stages from earlier ones.
 TEST(PlanEvaluator, IncrementalMatchesFreshBitForBit) {
   for (BillingModel billing : {BillingModel::kPerInstance, BillingModel::kPerFunction}) {
     const PlannerInputs inputs = TestInputs(Minutes(30), billing);
-    PlannerOptions incremental_options;
-    PlannerOptions fresh_options;
-    fresh_options.evaluation = PlanEvaluation::kFresh;
-    PlanEvaluator incremental(inputs, incremental_options);
-    PlanEvaluator fresh(inputs, fresh_options);
+    const PlannerOptions options;
+    PlanEvaluator incremental(inputs, options);
 
     const int n = inputs.spec.num_stages();
     std::vector<AllocationPlan> plans = {
@@ -98,25 +100,12 @@ TEST(PlanEvaluator, IncrementalMatchesFreshBitForBit) {
     for (const AllocationPlan& plan : plans) {
       ASSERT_EQ(plan.num_stages(), n);
       SCOPED_TRACE(plan.ToString());
-      ExpectSameEstimate(incremental.Evaluate(plan), fresh.Evaluate(plan));
+      const ExecutionDag dag = BuildDag(inputs.spec, plan, inputs.model, inputs.cloud);
+      const PlanEstimate reference =
+          SimulatePlan(dag, inputs.model, inputs.cloud, {options.sim_samples, options.seed});
+      ExpectSameEstimate(incremental.Evaluate(plan), reference);
     }
   }
-}
-
-TEST(PlanEvaluator, MatchesEstimatePlanExceptOptInPercentile) {
-  const PlannerInputs inputs = TestInputs(Minutes(30));
-  const PlannerOptions options;
-  const AllocationPlan plan = AllocationPlan::Uniform(inputs.spec.num_stages(), 8);
-
-  const PlanEstimate reference = EstimatePlan(inputs, plan, options);
-  PlanEvaluator evaluator(inputs, options);
-  const PlanEstimate estimate = evaluator.Evaluate(plan);
-
-  ExpectSameEstimate(estimate, reference);
-  // EstimatePlan keeps percentile collection on (one-off public API); the
-  // evaluator's hot loop opts out.
-  EXPECT_GT(reference.jct_p95, 0.0);
-  EXPECT_EQ(estimate.jct_p95, 0.0);
 }
 
 using PlannerFn = PlannedJob (*)(PlanEvaluator&);
@@ -128,27 +117,21 @@ void ExpectSamePlannedJob(const PlannedJob& a, const PlannedJob& b) {
   ExpectSameEstimate(a.estimate, b.estimate);
 }
 
-TEST(PlanEvaluator, PlannersIdenticalAcrossFreshIncrementalAndParallel) {
+TEST(PlanEvaluator, PlannersIdenticalSerialAndParallel) {
   const PlannerFn planners[] = {&PlanStatic, &PlanNaiveElastic, &PlanGreedy};
   for (BillingModel billing : {BillingModel::kPerInstance, BillingModel::kPerFunction}) {
     for (double minutes : {12.0, 30.0}) {
       const PlannerInputs inputs = TestInputs(Minutes(minutes), billing);
       for (PlannerFn planner : planners) {
-        PlannerOptions fresh_options;
-        fresh_options.evaluation = PlanEvaluation::kFresh;
-        PlannerOptions serial_options;
         PlannerOptions parallel_options;
         parallel_options.eval_threads = 4;
 
-        PlanEvaluator fresh(inputs, fresh_options);
-        PlanEvaluator serial(inputs, serial_options);
+        PlanEvaluator serial(inputs, PlannerOptions{});
         PlanEvaluator parallel(inputs, parallel_options);
 
-        const PlannedJob from_fresh = planner(fresh);
         const PlannedJob from_serial = planner(serial);
         const PlannedJob from_parallel = planner(parallel);
         SCOPED_TRACE(from_serial.planner + " @ " + std::to_string(minutes) + " min");
-        ExpectSamePlannedJob(from_serial, from_fresh);
         ExpectSamePlannedJob(from_serial, from_parallel);
       }
     }
@@ -158,17 +141,12 @@ TEST(PlanEvaluator, PlannersIdenticalAcrossFreshIncrementalAndParallel) {
 TEST(PlanEvaluator, MinTimePlannerIdenticalAcrossModes) {
   const PlannerInputs inputs = TestInputs(0.0);
   const Money budget = Money::FromDollars(100.0);
-  PlannerOptions fresh_options;
-  fresh_options.evaluation = PlanEvaluation::kFresh;
   PlannerOptions parallel_options;
   parallel_options.eval_threads = 4;
 
-  PlanEvaluator fresh(inputs, fresh_options);
   PlanEvaluator serial(inputs, PlannerOptions{});
   PlanEvaluator parallel(inputs, parallel_options);
-  const PlannedJob from_serial = PlanGreedyMinTime(serial, budget);
-  ExpectSamePlannedJob(from_serial, PlanGreedyMinTime(fresh, budget));
-  ExpectSamePlannedJob(from_serial, PlanGreedyMinTime(parallel, budget));
+  ExpectSamePlannedJob(PlanGreedyMinTime(serial, budget), PlanGreedyMinTime(parallel, budget));
 }
 
 TEST(PlanEvaluator, PlanMemoAndStageCacheAreObservable) {

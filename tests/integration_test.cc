@@ -66,8 +66,9 @@ TEST_P(EndToEnd, RubberBandNeverCostsMoreThanStatic) {
   const ModelProfile profile = ProfileWorkload(workload).profile;
   const PlannerInputs inputs{spec, profile, Cloud(), Minutes(c.deadline_minutes)};
 
-  const PlannedJob fixed = PlanStatic(inputs);
-  const PlannedJob elastic = PlanGreedy(inputs);
+  PlanEvaluator evaluator(inputs, {});
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob elastic = PlanGreedy(evaluator);
   if (!fixed.feasible) {
     GTEST_SKIP() << "static infeasible";
   }
@@ -135,9 +136,9 @@ TEST(Integration, PerFunctionPlansAreNoMoreExpensiveThanPerInstance) {
   const AllocationPlan plan({16, 16, 16, 16});
   PlannerOptions options;
   const PlanEstimate inst =
-      EstimatePlan({spec, profile, per_instance, Hours(1)}, plan, options);
+      PlanEvaluator({spec, profile, per_instance, Hours(1)}, options).Evaluate(plan);
   const PlanEstimate func =
-      EstimatePlan({spec, profile, per_function, Hours(1)}, plan, options);
+      PlanEvaluator({spec, profile, per_function, Hours(1)}, options).Evaluate(plan);
   EXPECT_LE(func.cost_mean.dollars(), inst.cost_mean.dollars() + 1e-9);
 }
 
@@ -154,10 +155,12 @@ TEST(Integration, DataHeavyJobShrinksElasticAdvantage) {
   pricey_data.pricing.data_price_per_gb = Money::FromCents(16);
 
   const Seconds deadline = Hours(1);
-  const PlannedJob static_free = PlanStatic({spec, profile, free_data, deadline});
-  const PlannedJob elastic_free = PlanGreedy({spec, profile, free_data, deadline});
-  const PlannedJob static_pricey = PlanStatic({spec, profile, pricey_data, deadline});
-  const PlannedJob elastic_pricey = PlanGreedy({spec, profile, pricey_data, deadline});
+  PlanEvaluator free_evaluator({spec, profile, free_data, deadline}, {});
+  PlanEvaluator pricey_evaluator({spec, profile, pricey_data, deadline}, {});
+  const PlannedJob static_free = PlanStatic(free_evaluator);
+  const PlannedJob elastic_free = PlanGreedy(free_evaluator);
+  const PlannedJob static_pricey = PlanStatic(pricey_evaluator);
+  const PlannedJob elastic_pricey = PlanGreedy(pricey_evaluator);
   ASSERT_TRUE(static_free.feasible && elastic_free.feasible && static_pricey.feasible &&
               elastic_pricey.feasible);
 

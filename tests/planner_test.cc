@@ -1,4 +1,4 @@
-#include "src/planner/planner.h"
+#include "src/planner/evaluator.h"
 
 #include <gtest/gtest.h>
 
@@ -110,17 +110,17 @@ PlannerInputs TestInputs(Seconds deadline) {
 
 TEST(StaticPlanner, FindsCheapestFeasibleCluster) {
   const PlannerInputs inputs = TestInputs(Minutes(30));
-  const PlannedJob job = PlanStatic(inputs);
+  PlanEvaluator evaluator(inputs, {});
+  const PlannedJob job = PlanStatic(evaluator);
   ASSERT_TRUE(job.feasible);
   EXPECT_TRUE(job.plan.IsStatic());
   EXPECT_LE(job.estimate.jct_mean, inputs.deadline);
 
   // Brute-force verification over the same candidate space: no static size
   // from 1..32 beats the chosen one.
-  PlannerOptions options;
   for (int gpus = 1; gpus <= 32; ++gpus) {
     const PlanEstimate other =
-        EstimatePlan(inputs, AllocationPlan::Uniform(inputs.spec.num_stages(), gpus), options);
+        evaluator.Evaluate(AllocationPlan::Uniform(inputs.spec.num_stages(), gpus));
     if (other.MeetsDeadline(inputs.deadline)) {
       EXPECT_GE(other.cost_mean, job.estimate.cost_mean) << "gpus=" << gpus;
     }
@@ -128,7 +128,8 @@ TEST(StaticPlanner, FindsCheapestFeasibleCluster) {
 }
 
 TEST(StaticPlanner, InfeasibleDeadlineReturnsFastest) {
-  const PlannedJob job = PlanStatic(TestInputs(1.0));
+  PlanEvaluator evaluator(TestInputs(1.0), {});
+  const PlannedJob job = PlanStatic(evaluator);
   EXPECT_FALSE(job.feasible);
   EXPECT_GT(job.estimate.jct_mean, 1.0);
 }
@@ -136,8 +137,9 @@ TEST(StaticPlanner, InfeasibleDeadlineReturnsFastest) {
 TEST(GreedyPlanner, NeverWorseThanStatic) {
   for (double minutes : {10.0, 15.0, 20.0, 30.0, 60.0}) {
     const PlannerInputs inputs = TestInputs(Minutes(minutes));
-    const PlannedJob fixed = PlanStatic(inputs);
-    const PlannedJob elastic = PlanGreedy(inputs);
+    PlanEvaluator evaluator(inputs, {});
+    const PlannedJob fixed = PlanStatic(evaluator);
+    const PlannedJob elastic = PlanGreedy(evaluator);
     if (!fixed.feasible) {
       continue;
     }
@@ -164,16 +166,17 @@ TEST(GreedyPlanner, LooseDeadlineStillNeverWorseThanStatic) {
   inputs.cloud.provisioning = ProvisioningModel::Fixed(5.0, 10.0);
   inputs.deadline = Minutes(60);
 
-  const PlannedJob fixed = PlanStatic(inputs);
-  const PlannedJob elastic = PlanGreedy(inputs);
+  PlanEvaluator evaluator(inputs, {});
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob elastic = PlanGreedy(evaluator);
   ASSERT_TRUE(fixed.feasible);
   ASSERT_TRUE(elastic.feasible);
   EXPECT_LE(elastic.estimate.cost_mean.dollars(), fixed.estimate.cost_mean.dollars() + 1e-9);
 }
 
 TEST(GreedyPlanner, FrontLoadsUnderSublinearScaling) {
-  const PlannerInputs inputs = TestInputs(Minutes(25));
-  const PlannedJob job = PlanGreedy(inputs);
+  PlanEvaluator evaluator(TestInputs(Minutes(25)), {});
+  const PlannedJob job = PlanGreedy(evaluator);
   ASSERT_TRUE(job.feasible);
   // Early stages (many trials, efficient) should get at least as many GPUs
   // as the final stage (one trial, inefficient at scale).
@@ -181,13 +184,16 @@ TEST(GreedyPlanner, FrontLoadsUnderSublinearScaling) {
 }
 
 TEST(GreedyPlanner, InfeasibleDeadlinePropagates) {
-  const PlannedJob job = PlanGreedy(TestInputs(1.0));
+  PlanEvaluator evaluator(TestInputs(1.0), {});
+  const PlannedJob job = PlanGreedy(evaluator);
   EXPECT_FALSE(job.feasible);
 }
 
 TEST(GreedyPlanner, TighterDeadlineNeverCheaper) {
-  const PlannedJob tight = PlanGreedy(TestInputs(Minutes(12)));
-  const PlannedJob loose = PlanGreedy(TestInputs(Minutes(40)));
+  PlanEvaluator evaluator(TestInputs(Minutes(12)), {});
+  const PlannedJob tight = PlanGreedy(evaluator);
+  evaluator.set_deadline(Minutes(40));
+  const PlannedJob loose = PlanGreedy(evaluator);
   ASSERT_TRUE(tight.feasible);
   ASSERT_TRUE(loose.feasible);
   EXPECT_GE(tight.estimate.cost_mean.dollars(), loose.estimate.cost_mean.dollars() - 1e-6);
@@ -195,7 +201,8 @@ TEST(GreedyPlanner, TighterDeadlineNeverCheaper) {
 
 TEST(NaiveElastic, ConstantGpusPerTrialShape) {
   const PlannerInputs inputs = TestInputs(Minutes(30));
-  const PlannedJob job = PlanNaiveElastic(inputs);
+  PlanEvaluator evaluator(inputs, {});
+  const PlannedJob job = PlanNaiveElastic(evaluator);
   ASSERT_TRUE(job.feasible);
   const auto& spec = inputs.spec;
   const int t = job.plan.gpus(0) / spec.stage(0).num_trials;
@@ -207,9 +214,9 @@ TEST(NaiveElastic, ConstantGpusPerTrialShape) {
 
 TEST(NaiveElastic, NeverBeatsRubberBand) {
   for (double minutes : {15.0, 20.0, 30.0}) {
-    const PlannerInputs inputs = TestInputs(Minutes(minutes));
-    const PlannedJob naive = PlanNaiveElastic(inputs);
-    const PlannedJob elastic = PlanGreedy(inputs);
+    PlanEvaluator evaluator(TestInputs(Minutes(minutes)), {});
+    const PlannedJob naive = PlanNaiveElastic(evaluator);
+    const PlannedJob elastic = PlanGreedy(evaluator);
     if (naive.feasible && elastic.feasible) {
       EXPECT_GE(naive.estimate.cost_mean.dollars(),
                 elastic.estimate.cost_mean.dollars() - 1e-6)
@@ -226,8 +233,10 @@ TEST(Planner, MultiWarmStartCanBeatSingleWarmStart) {
   PlannerOptions single;
   single.warm_start_multipliers = {1.0};
   PlannerOptions multi;  // default {1, 2, 3}
-  const PlannedJob narrow = PlanGreedy(inputs, single);
-  const PlannedJob wide = PlanGreedy(inputs, multi);
+  PlanEvaluator narrow_evaluator(inputs, single);
+  PlanEvaluator wide_evaluator(inputs, multi);
+  const PlannedJob narrow = PlanGreedy(narrow_evaluator);
+  const PlannedJob wide = PlanGreedy(wide_evaluator);
   if (narrow.feasible && wide.feasible) {
     EXPECT_LE(wide.estimate.cost_mean.dollars(), narrow.estimate.cost_mean.dollars() + 1e-6);
   }
@@ -237,8 +246,9 @@ TEST(Planner, EstimateIsDeterministicForFixedSeed) {
   const PlannerInputs inputs = TestInputs(Minutes(30));
   PlannerOptions options;
   const AllocationPlan plan = AllocationPlan::Uniform(inputs.spec.num_stages(), 8);
-  const PlanEstimate a = EstimatePlan(inputs, plan, options);
-  const PlanEstimate b = EstimatePlan(inputs, plan, options);
+  // Two evaluators, so the second estimate is recomputed, not a memo hit.
+  const PlanEstimate a = PlanEvaluator(inputs, options).Evaluate(plan);
+  const PlanEstimate b = PlanEvaluator(inputs, options).Evaluate(plan);
   EXPECT_DOUBLE_EQ(a.jct_mean, b.jct_mean);
   EXPECT_EQ(a.cost_mean, b.cost_mean);
 }

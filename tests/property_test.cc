@@ -42,7 +42,7 @@ TEST_P(PlanProperties, SimulationPredictsExecutionForArbitraryPlans) {
   PlannerOptions planner_options;
   planner_options.sim_samples = 50;
   const PlanEstimate estimate =
-      EstimatePlan({spec, profile, TestCloud(), Hours(10)}, plan, planner_options);
+      PlanEvaluator({spec, profile, TestCloud(), Hours(10)}, planner_options).Evaluate(plan);
 
   ExecutorOptions executor_options;
   executor_options.seed = GetParam();
@@ -68,8 +68,10 @@ TEST_P(PlanProperties, PerInstanceNeverCheaperThanPerFunction) {
   per_function.pricing.billing = BillingModel::kPerFunction;
 
   PlannerOptions options;
-  const PlanEstimate inst = EstimatePlan({spec, profile, per_instance, Hours(10)}, plan, options);
-  const PlanEstimate func = EstimatePlan({spec, profile, per_function, Hours(10)}, plan, options);
+  const PlanEstimate inst =
+      PlanEvaluator({spec, profile, per_instance, Hours(10)}, options).Evaluate(plan);
+  const PlanEstimate func =
+      PlanEvaluator({spec, profile, per_function, Hours(10)}, options).Evaluate(plan);
   EXPECT_GE(inst.cost_mean.dollars(), func.cost_mean.dollars() - 1e-9)
       << "plan " << plan.ToString();
 }
@@ -87,7 +89,7 @@ TEST_P(PlanProperties, PerFunctionCostBoundedBelowByTotalWork) {
   per_function.pricing.billing = BillingModel::kPerFunction;
   PlannerOptions options;
   const PlanEstimate estimate =
-      EstimatePlan({spec, profile, per_function, Hours(10)}, plan, options);
+      PlanEvaluator({spec, profile, per_function, Hours(10)}, options).Evaluate(plan);
 
   const double min_gpu_seconds =
       static_cast<double>(spec.TotalWork()) * profile.iter_latency_1gpu.Mean();

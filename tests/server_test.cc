@@ -1005,8 +1005,8 @@ TEST(ServerFault, NonFiniteNumbersAreBadRequestsAndTheWalStillReopens) {
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", first->port(), &error)) << error;
   MustCall(client, "submit", SubmitParams("exp1"));
-  // Finite steps whose sum overflows the clock are refused too.
-  MustCall(client, "advance", AdvanceParams(1e308));
+  // Finite steps that overflow the clock are refused too.
+  MustCall(client, "advance", AdvanceParams(1e9));
   JsonValue response;
   ASSERT_TRUE(client.Call("advance", AdvanceParams(1e308), "default", &response, &error))
       << error;
@@ -1024,6 +1024,43 @@ TEST(ServerFault, NonFiniteNumbersAreBadRequestsAndTheWalStillReopens) {
   client.Close();
   second.Stop();
   EXPECT_TRUE(second.runner()->wal_stats().recovered);
+  std::remove(wal_path.c_str());
+}
+
+// Times past kMaxWireSeconds are refused before they are journaled. Out
+// there a double no longer resolves a second: a job submitted at 1.7e308 s
+// used to complete with jct_s 0, every stage event on the same instant.
+TEST(ServerFault, TimesPastTheWireBoundAreBadRequests) {
+  const std::string wal_path = testing::TempDir() + "/rb_serverfault_bound.wal";
+  std::remove(wal_path.c_str());
+  RunnerOptions options = SmallRunner();
+  options.wal_path = wal_path;
+  ServiceRunner runner(options);
+  const auto submit = [](double submit_at_s, double deadline_s) {
+    JsonValue params = SubmitParams("far", deadline_s);
+    params.Set("submit_at_s", JsonValue::MakeNumber(submit_at_s));
+    return Req("submit", std::move(params));
+  };
+
+  const int64_t appends = runner.wal_appends();
+  EXPECT_EQ(runner.Handle(submit(1.7e308, 1.7e308)).code, kErrBadRequest);
+  EXPECT_EQ(runner.Handle(submit(2e12, 3600.0)).code, kErrBadRequest);
+  EXPECT_EQ(runner.Handle(submit(0.0, 2e12)).code, kErrBadRequest);
+  EXPECT_EQ(runner.Handle(submit(6e11, 6e11)).code, kErrBadRequest);  // the sum
+  EXPECT_EQ(runner.Handle(Req("advance", AdvanceParams(1.7e308))).code, kErrBadRequest);
+  EXPECT_EQ(runner.Handle(Req("advance", AdvanceParams(2e12))).code, kErrBadRequest);
+  EXPECT_EQ(runner.wal_appends(), appends);
+  EXPECT_EQ(runner.service().now(), 0.0);
+
+  // At the bound both are accepted, and the job's times still resolve.
+  ASSERT_TRUE(runner.Handle(submit(5e11, 5e11)).ok);
+  ASSERT_TRUE(runner.Handle(Req("advance", AdvanceParams(1e12))).ok);
+  JsonValue who = JsonValue::MakeObject();
+  who.Set("job", JsonValue::MakeString("far"));
+  const OpResult status = runner.Handle(Req("status", who));
+  ASSERT_TRUE(status.ok) << status.message;
+  EXPECT_EQ(status.body.at("state").string(), "COMPLETED");
+  EXPECT_GT(status.body.at("jct_s").number(), 60.0);
   std::remove(wal_path.c_str());
 }
 

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/rubberband.h"
@@ -258,6 +262,80 @@ TEST(Service, OvercommitMakesTheFairShareArbiterBind) {
   }
   // At least one job ran below its planned peak: the caps actually bit.
   EXPECT_GT(bound, 0);
+}
+
+// OS threads of this process. The kernel drops a joined thread's task
+// entry shortly after the join returns, so the caller polls.
+int CountThreads() {
+  int threads = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(entry);
+    ++threads;
+  }
+  return threads;
+}
+
+bool ThreadsSettleAtOrBelow(int limit) {
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    if (CountThreads() <= limit) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return CountThreads() <= limit;
+}
+
+// A job's evaluator (and the eval_threads - 1 threads of its pool) is freed
+// when the job starts or is rejected, not when the service ends; its cache
+// stats are kept for the report.
+TEST(Service, JobEvaluatorsAreFreedWhenJobsLeaveAdmission) {
+  std::vector<JobRequest> trace;
+  for (int i = 0; i < 40; ++i) {
+    // One in five cannot finish in 45 s and is rejected at arrival.
+    trace.push_back(MakeJob("job-" + std::to_string(i), 5000.0 * i, i % 5 == 4 ? 45.0 : 3600.0));
+  }
+
+  // Each job plans once, at arrival, through its own evaluator.
+  ServiceConfig config = BaseConfig();
+  ProfilerOptions profiler = config.profiler;
+  profiler.seed = config.seed;
+  const ModelProfile profile = ProfileWorkload(ResNet101Cifar10(), profiler).profile;
+  PlannerOptions options = config.planner;
+  options.max_total_gpus = std::min(options.max_total_gpus, config.capacity_gpus);
+  PlannerCacheStats expected;
+  for (const JobRequest& job : trace) {
+    PlanEvaluator evaluator({job.spec, profile, config.cloud, job.deadline}, options);
+    PlanGreedy(evaluator);
+    expected += evaluator.stats();
+  }
+  const ServiceReport serial = RunTrace(config, trace);
+  EXPECT_EQ(serial.completed, 32);
+  EXPECT_EQ(serial.rejected, 8);
+  EXPECT_EQ(serial.planner_cache.plan_evaluations, expected.plan_evaluations);
+  EXPECT_EQ(serial.planner_cache.plan_memo_hits, expected.plan_memo_hits);
+  EXPECT_EQ(serial.planner_cache.stage_evaluations, expected.stage_evaluations);
+  EXPECT_EQ(serial.planner_cache.stage_cache_hits, expected.stage_cache_hits);
+
+  config.planner.eval_threads = 4;
+  // A sanitizer runtime may start a helper thread along with the first user
+  // thread; start one first so the baseline counts it.
+  std::thread([] {}).join();
+  const int threads_before = CountThreads();
+  TuningService service(config);
+  for (const JobRequest& job : trace) {
+    service.Submit(job);
+  }
+  const ServiceReport parallel = service.Run();
+  // Held until the service died, the 40 evaluators kept 120 idle threads.
+  EXPECT_TRUE(ThreadsSettleAtOrBelow(threads_before))
+      << CountThreads() << " threads, " << threads_before << " before the service";
+  ASSERT_EQ(parallel.jobs.size(), serial.jobs.size());
+  for (size_t i = 0; i < serial.jobs.size(); ++i) {
+    EXPECT_EQ(parallel.jobs[i].plan, serial.jobs[i].plan) << serial.jobs[i].name;
+  }
+  // Racing threads may both sample a stage, but every lookup is counted once.
+  EXPECT_EQ(parallel.planner_cache.plan_evaluations + parallel.planner_cache.plan_memo_hits,
+            expected.plan_evaluations + expected.plan_memo_hits);
 }
 
 TEST(Service, BudgetRejectsJobsWhoseCheapestPlanIsTooExpensive) {

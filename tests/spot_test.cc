@@ -513,31 +513,24 @@ TEST(SpotPlanner, HazardInflatesEstimatesAndInertMarketsDoNot) {
   EXPECT_EQ(inert_estimate.cost_mean, base.cost_mean);
 }
 
-TEST(SpotPlanner, RiskAdjustmentIsIdenticalAcrossFreshAndIncremental) {
+TEST(SpotPlanner, RiskAdjustmentIsAppliedOnceThroughTheMemo) {
   PlannerInputs inputs = RiskInputs();
   inputs.cloud.spot.enabled = true;
   inputs.cloud.spot.mean_time_to_preemption = 1800.0;
-
-  PlannerOptions incremental_options;
-  PlannerOptions fresh_options;
-  fresh_options.evaluation = PlanEvaluation::kFresh;
-  PlanEvaluator incremental(inputs, incremental_options);
-  PlanEvaluator fresh(inputs, fresh_options);
+  PlanEvaluator evaluator(inputs, PlannerOptions{});
 
   for (const AllocationPlan& plan :
        {AllocationPlan::Uniform(3, 8), AllocationPlan({16, 8, 4}), AllocationPlan({2, 4, 8})}) {
     SCOPED_TRACE(plan.ToString());
-    const PlanEstimate a = incremental.Evaluate(plan);
-    const PlanEstimate b = fresh.Evaluate(plan);
-    EXPECT_EQ(a.jct_mean, b.jct_mean);
-    EXPECT_EQ(a.cost_mean, b.cost_mean);
-    EXPECT_EQ(a.compute_cost_mean, b.compute_cost_mean);
+    const PlanEstimate adjusted = evaluator.Evaluate(plan);
     // Re-evaluating through the memo must return the adjusted estimate,
     // not re-adjust it.
-    const PlanEstimate memoized = incremental.Evaluate(plan);
-    EXPECT_EQ(memoized.jct_mean, a.jct_mean);
-    EXPECT_EQ(memoized.cost_mean, a.cost_mean);
+    const PlanEstimate memoized = evaluator.Evaluate(plan);
+    EXPECT_EQ(memoized.jct_mean, adjusted.jct_mean);
+    EXPECT_EQ(memoized.cost_mean, adjusted.cost_mean);
+    EXPECT_EQ(memoized.compute_cost_mean, adjusted.compute_cost_mean);
   }
+  EXPECT_EQ(evaluator.stats().plan_memo_hits, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@
 //   --spot-warning-s=120           reclamation warning the executor uses to
 //                                  checkpoint eagerly before the reclaim
 //   --plan-threads=4               parallel candidate evaluation inside the
-//                                  planner (identical plans at any count)
+//                                  planner (identical plans at any count;
+//                                  at most the host's hardware threads)
 //   Fault injection (all default off; runs stay deterministic per seed):
 //   --provision-failure-rate=0.1   provider rejects requests at this rate
 //   --init-failure-rate=0.05       launched instances die during init (billed)
@@ -81,6 +82,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "src/common/flags.h"
 #include "src/common/report_format.h"
@@ -261,9 +263,13 @@ bool BuildSetup(const Flags& flags, CliSetup& setup) {
 
   setup.deadline = Minutes(flags.GetDouble("deadline-min", 20.0));
   setup.seed = static_cast<uint64_t>(flags.GetInt64("seed", 1));
+  // Each evaluator starts eval_threads - 1 pool threads; more threads than
+  // the host runs buy nothing, so the count is capped there.
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  const int max_plan_threads = hardware_threads > 0 ? static_cast<int>(hardware_threads) : 256;
   setup.planner.eval_threads = flags.GetInt("plan-threads", 1);
-  if (setup.planner.eval_threads < 1) {
-    std::fprintf(stderr, "--plan-threads must be >= 1\n");
+  if (setup.planner.eval_threads < 1 || setup.planner.eval_threads > max_plan_threads) {
+    std::fprintf(stderr, "--plan-threads must be between 1 and %d\n", max_plan_threads);
     return false;
   }
 
@@ -381,16 +387,19 @@ int RunPlan(const Flags& flags, CliSetup& setup) {
   if (setup.compiled.scheduler != SchedulerKind::kSha) {
     return RunPlanCompiled(setup);
   }
-  const PlannerInputs inputs{setup.spec, setup.profile, setup.cloud, setup.deadline};
-  const PlannedJob fixed = PlanStatic(inputs, setup.planner);
-  const PlannedJob naive = PlanNaiveElastic(inputs, setup.planner);
-  const PlannedJob elastic = PlanGreedy(inputs, setup.planner);
+  // One evaluator scores all four plans: its memo is keyed by allocation,
+  // not deadline, so the min-time ascent reuses the other searches' work.
+  PlanEvaluator evaluator({setup.spec, setup.profile, setup.cloud, setup.deadline},
+                          setup.planner);
+  const PlannedJob fixed = PlanStatic(evaluator);
+  const PlannedJob naive = PlanNaiveElastic(evaluator);
+  const PlannedJob elastic = PlanGreedy(evaluator);
   PrintJob("static", fixed);
   PrintJob("naive-elastic", naive);
   PrintJob("rubberband", elastic);
   if (flags.Has("budget")) {
     const Money budget = Money::FromDollars(flags.GetDouble("budget", 0.0));
-    PrintJob("min-time", PlanGreedyMinTime(inputs, budget, setup.planner));
+    PrintJob("min-time", PlanGreedyMinTime(evaluator, budget));
   }
   if (flags.GetBool("render")) {
     std::printf("\n%s", RenderComparison(setup.spec, fixed.plan, elastic.plan, setup.profile,
@@ -404,8 +413,9 @@ int RunExecute(const Flags& flags, CliSetup& setup) {
   if (setup.compiled.scheduler != SchedulerKind::kSha) {
     return RunExecuteCompiled(flags, setup);
   }
-  const PlannedJob job =
-      PlanGreedy({setup.spec, setup.profile, setup.cloud, setup.deadline}, setup.planner);
+  PlanEvaluator evaluator({setup.spec, setup.profile, setup.cloud, setup.deadline},
+                          setup.planner);
+  const PlannedJob job = PlanGreedy(evaluator);
   PrintJob("rubberband", job);
 
   const ObsFlags obs = ParseObsFlags(flags);
@@ -448,12 +458,14 @@ int RunSweep(const Flags& flags, CliSetup& setup) {
     return Fail("sweep needs from-min <= to-min and step-min > 0");
   }
   std::printf("%-12s %12s %12s %10s\n", "deadline", "static $", "rubberband $", "gain");
+  // Estimates do not depend on the deadline, so one evaluator serves the
+  // whole sweep and each later deadline is mostly memo hits.
+  PlanEvaluator evaluator({setup.spec, setup.profile, setup.cloud, Minutes(from)},
+                          setup.planner);
   for (double minutes = from; minutes <= to + 1e-9; minutes += step) {
-    const PlannerInputs inputs{setup.spec, setup.profile, setup.cloud, Minutes(minutes)};
-    // Honor the common planner flags (--plan-threads); sweep used to drop
-    // setup.planner on the floor and silently plan single-threaded.
-    const PlannedJob fixed = PlanStatic(inputs, setup.planner);
-    const PlannedJob elastic = PlanGreedy(inputs, setup.planner);
+    evaluator.set_deadline(Minutes(minutes));
+    const PlannedJob fixed = PlanStatic(evaluator);
+    const PlannedJob elastic = PlanGreedy(evaluator);
     if (!elastic.feasible) {
       std::printf("%-12.0f %12s %12s %10s\n", minutes, "-", "-", "infeasible");
       continue;
