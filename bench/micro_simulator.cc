@@ -1,7 +1,7 @@
 // Microbenchmarks for RubberBand's own hot paths: DAG construction,
 // Algorithm 1 plan simulation, keyed random streams, and the DES kernel
 // itself (EventQueue schedule/run/cancel). The planner calls the simulators
-// in its inner loop, each drawing from fresh keyed streams, and every
+// in its inner loop, each drawing from keyed streams, and every
 // runtime layer ticks on the kernel, so these throughputs bound everything
 // above them.
 //
@@ -103,9 +103,13 @@ BENCHMARK(BM_EndToEndExecutionObserved)->Arg(16)->Arg(64);
 
 // --- Keyed random streams -------------------------------------------------
 //
-// The planner draws stage s of sample i from a fresh Rng::ForStream(seed, s,
-// i) and takes a handful of normals from it; long streams (the simulation's
-// own Rng, fault and spot traces) draw many words from one engine.
+// Stage s of sample i draws from the keyed stream (seed, s, i) and takes a
+// handful of normals from it: fresh from Rng::ForStream in the reference
+// sweep, replayed from Rng::RecordedStream in the planner. Long streams (the
+// simulation's own Rng, fault and spot traces) draw many words from one
+// engine.
+
+constexpr int kPlannerSamples = 20;  // PlannerOptions::sim_samples
 
 void BM_KeyedStreamDraw(benchmark::State& state) {
   const int draws = static_cast<int>(state.range(0));
@@ -119,6 +123,22 @@ void BM_KeyedStreamDraw(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KeyedStreamDraw)->Arg(1)->Arg(8)->Arg(32)->Arg(100);
+
+// The planner's steady state: the evaluator replays the same (stage,
+// sample) streams from this thread's tapes, recorded by earlier iterations,
+// so the normals come from memoized decodes of stored words.
+void BM_RecordedStreamDraw(benchmark::State& state) {
+  const int draws = static_cast<int>(state.range(0));
+  uint64_t index = 0;
+  for (auto _ : state) {
+    Rng rng = Rng::RecordedStream(1, 3, index++ % kPlannerSamples);
+    double sum = 0.0;
+    for (int i = 0; i < draws; ++i) sum += rng.Normal(0.0, 1.0);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordedStreamDraw)->Arg(8);
 
 void BM_LongStreamWords(benchmark::State& state) {
   Mt19937_64 engine(42);
@@ -227,7 +247,8 @@ KernelResult TimeKernel(const std::string& name, int64_t events, Body body) {
 // a fresh stream plus 8 normals is not at least 2x faster than with the
 // standard engine, or when long-stream words/s is more than 10% slower.
 // Both loops also fold their outputs into a checksum that must agree bit
-// for bit.
+// for bit. The planner's replayed streams are timed too (replayed_us, not
+// gated), and their checksum must equal the same streams drawn fresh.
 
 constexpr int kRngRepetitions = 5;
 constexpr int kNewStreams = 50'000;
@@ -244,6 +265,24 @@ uint64_t FreshStreams() {
     for (int i = 0; i < kNewStreamNormals; ++i) {
       const double draw = std::normal_distribution<double>(0.0, 1.0)(engine);
       checksum = checksum * 31 + std::bit_cast<uint64_t>(draw);
+    }
+  }
+  return checksum;
+}
+
+// The planner's ~100 keyed streams (5 stages x 20 samples), cycled: replayed
+// from this thread's tapes, or drawn fresh for the checksum.
+constexpr int kPlannerStreams = 5 * kPlannerSamples;
+
+template <bool kRecorded>
+uint64_t PlannerStreams() {
+  uint64_t checksum = 0;
+  for (int s = 0; s < kNewStreams; ++s) {
+    const uint64_t stream = static_cast<uint64_t>(s % kPlannerStreams / kPlannerSamples);
+    const uint64_t index = static_cast<uint64_t>(s % kPlannerSamples);
+    Rng rng = kRecorded ? Rng::RecordedStream(1, stream, index) : Rng::ForStream(1, stream, index);
+    for (int i = 0; i < kNewStreamNormals; ++i) {
+      checksum = checksum * 31 + std::bit_cast<uint64_t>(rng.Normal(0.0, 1.0));
     }
   }
   return checksum;
@@ -291,6 +330,7 @@ PairTiming MedianPair(LazyBody lazy_body, StdBody std_body) {
 struct RngGate {
   double fresh_lazy_us = 0.0;  // per stream: construct + 8 normals
   double fresh_std_us = 0.0;
+  double replayed_us = 0.0;    // per stream: 8 normals replayed from a tape
   double long_lazy_words_per_s = 0.0;
   double long_std_words_per_s = 0.0;
   bool checksums_match = false;
@@ -306,12 +346,15 @@ struct RngGate {
 RngGate MeasureRngGate() {
   const PairTiming fresh = MedianPair(FreshStreams<Mt19937_64>, FreshStreams<std::mt19937_64>);
   const PairTiming long_stream = MedianPair(LongStream<Mt19937_64>, LongStream<std::mt19937_64>);
+  const PairTiming replayed = MedianPair(PlannerStreams<true>, PlannerStreams<false>);
   RngGate gate;
   gate.fresh_lazy_us = fresh.lazy_s * 1e6 / kNewStreams;
   gate.fresh_std_us = fresh.std_s * 1e6 / kNewStreams;
+  gate.replayed_us = replayed.lazy_s * 1e6 / kNewStreams;
   gate.long_lazy_words_per_s = kLongWords / long_stream.lazy_s;
   gate.long_std_words_per_s = kLongWords / long_stream.std_s;
-  gate.checksums_match = fresh.checksums_match && long_stream.checksums_match;
+  gate.checksums_match =
+      fresh.checksums_match && long_stream.checksums_match && replayed.checksums_match;
   return gate;
 }
 
@@ -399,6 +442,7 @@ int JsonMain(const std::string& path) {
   std::printf("long-stream words/s: %.1fM (std::mt19937_64 %.1fM, ratio %.3f)\n",
               rng.long_lazy_words_per_s / 1e6, rng.long_std_words_per_s / 1e6,
               rng.long_ratio());
+  std::printf("replayed stream + %d normals: %.3f us\n", kNewStreamNormals, rng.replayed_us);
   if (!rng.ok()) {
     std::fprintf(stderr,
                  "error: random-engine gate failed (checksums %s; need fresh speedup >= "
@@ -428,10 +472,11 @@ int JsonMain(const std::string& path) {
                "\"fresh_stream_normals\": %d, \"fresh_lazy_us\": %.3f, "
                "\"fresh_std_us\": %.3f, \"fresh_speedup\": %.2f, "
                "\"long_lazy_words_per_s\": %.0f, \"long_std_words_per_s\": %.0f, "
-               "\"long_ratio\": %.3f}\n}\n",
+               "\"long_ratio\": %.3f, \"replayed_us\": %.3f}\n}\n",
                kRngRepetitions, std::thread::hardware_concurrency(), kNewStreamNormals,
                rng.fresh_lazy_us, rng.fresh_std_us, rng.fresh_speedup(),
-               rng.long_lazy_words_per_s, rng.long_std_words_per_s, rng.long_ratio());
+               rng.long_lazy_words_per_s, rng.long_std_words_per_s, rng.long_ratio(),
+               rng.replayed_us);
   std::fclose(file);
   std::printf("wrote %s\n", path.c_str());
   return 0;

@@ -1,7 +1,9 @@
 #include "src/common/rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <unordered_map>
 
 namespace rubberband {
 
@@ -53,34 +55,81 @@ void Mt19937_64::Advance() {
   pos_ = 0;
 }
 
+namespace {
+
+// A uniform random bit generator over a tape's words from a cursor: the
+// standard distributions read it exactly as they read the engine.
+struct TapeReader {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
+  result_type operator()() { return tape->Word((*cursor)++); }
+
+  StreamTape* tape;
+  uint32_t* cursor;
+};
+
+}  // namespace
+
+uint64_t StreamTape::Extend(uint32_t offset) {
+  while (words_.size() <= offset) words_.push_back(engine_());
+  return words_[offset];
+}
+
+double StreamTape::StandardNormal(uint32_t* offset) {
+  const uint32_t start = *offset;
+  if (start < decodes_.size() && decodes_[start].next != 0) {
+    *offset = decodes_[start].next;
+    return decodes_[start].z;
+  }
+  // libstdc++ returns z * stddev + mean; a mean of -0.0 adds nothing to any
+  // z, so this is the decoded z itself with the sign of a zero kept.
+  TapeReader reader{this, offset};
+  const double z = std::normal_distribution<double>(-0.0, 1.0)(reader);
+  if (decodes_.size() <= start) decodes_.resize(words_.size());
+  decodes_[start] = {z, *offset};
+  return z;
+}
+
+template <typename Distribution>
+typename Distribution::result_type Rng::Draw(Distribution dist) {
+  if (tape_ == nullptr) return dist(engine_);
+  TapeReader reader{tape_, &cursor_};
+  return dist(reader);
+}
+
 double Rng::Uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  return Draw(std::uniform_real_distribution<double>(lo, hi));
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  std::uniform_int_distribution<int64_t> dist(lo, hi);
-  return dist(engine_);
+  return Draw(std::uniform_int_distribution<int64_t>(lo, hi));
 }
 
+// A tape replays a normal as libstdc++'s std::normal_distribution finishes
+// one, z * stddev + mean, and a lognormal as std::lognormal_distribution
+// does, exp(s * (z * 1.0 + 0.0) + m) over its inner standard normal; z * 1.0
+// is z.
 double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  if (tape_ == nullptr) return std::normal_distribution<double>(mean, stddev)(engine_);
+  return tape_->StandardNormal(&cursor_) * stddev + mean;
 }
 
 double Rng::LogNormal(double log_mean, double log_stddev) {
-  std::lognormal_distribution<double> dist(log_mean, log_stddev);
-  return dist(engine_);
+  if (tape_ == nullptr) {
+    return std::lognormal_distribution<double>(log_mean, log_stddev)(engine_);
+  }
+  return std::exp(log_stddev * (tape_->StandardNormal(&cursor_) + 0.0) + log_mean);
 }
 
 double Rng::Exponential(double mean) {
-  std::exponential_distribution<double> dist(1.0 / mean);
-  return dist(engine_);
+  return Draw(std::exponential_distribution<double>(1.0 / mean));
 }
 
 Rng Rng::Fork() {
   // Mix the next draw so sibling forks are decorrelated.
-  const uint64_t child_seed = engine_() * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
+  const uint64_t word = tape_ == nullptr ? engine_() : tape_->Word(cursor_++);
+  const uint64_t child_seed = word * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
   return Rng(child_seed);
 }
 
@@ -95,13 +144,30 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The engine seed of stream (seed, stream, index).
+uint64_t StreamSeed(uint64_t seed, uint64_t stream, uint64_t index) {
+  uint64_t mixed = SplitMix64(seed);
+  mixed = SplitMix64(mixed ^ stream);
+  return SplitMix64(mixed ^ index);
+}
+
 }  // namespace
 
 Rng Rng::ForStream(uint64_t seed, uint64_t stream, uint64_t index) {
-  uint64_t mixed = SplitMix64(seed);
-  mixed = SplitMix64(mixed ^ stream);
-  mixed = SplitMix64(mixed ^ index);
-  return Rng(mixed);
+  return Rng(StreamSeed(seed, stream, index));
+}
+
+Rng Rng::RecordedStream(uint64_t seed, uint64_t stream, uint64_t index) {
+  // Keyed by the engine seed: two keys that mix to the same seed are the
+  // same stream, so they may share a tape.
+  thread_local std::unordered_map<uint64_t, StreamTape> tapes;
+  const uint64_t engine_seed = StreamSeed(seed, stream, index);
+  auto it = tapes.find(engine_seed);
+  if (it == tapes.end()) {
+    if (tapes.size() >= static_cast<size_t>(kRecordedStreamsPerThread)) tapes.clear();
+    it = tapes.try_emplace(engine_seed, engine_seed).first;
+  }
+  return Rng(it->second);
 }
 
 }  // namespace rubberband

@@ -9,6 +9,7 @@
 #define SRC_COMMON_RNG_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace rubberband {
 
@@ -55,9 +56,48 @@ class Mt19937_64 {
   int pos_ = 0;      // next word to output
 };
 
+// One MT19937-64 stream recorded for replay. The engine's words are kept
+// as they are generated (lazily, only as far as some reader has asked), and
+// each standard-normal decode is memoized by the word offset where it
+// starts: the decode is a pure function of the words from that offset on,
+// so it yields the same z and ends at the same offset every time. Readers
+// that take different paths through the stream (a stage with a scale-up
+// starts its trial normals a few words later than one without) each find
+// their own decodes. A tape is read by one thread at a time.
+class StreamTape {
+ public:
+  explicit StreamTape(uint64_t seed) : engine_(seed) {}
+
+  // Word `offset` of the stream, generating it (and any before it) on first
+  // use.
+  uint64_t Word(uint32_t offset) {
+    return offset < words_.size() ? words_[offset] : Extend(offset);
+  }
+
+  // The standard normal std::normal_distribution<double> decodes from the
+  // words at *offset (exactly, sign of zero included); advances *offset past
+  // the words the decode consumed.
+  double StandardNormal(uint32_t* offset);
+
+ private:
+  struct Decode {
+    double z = 0.0;
+    uint32_t next = 0;  // offset after the decode; 0 while not yet decoded
+  };
+
+  uint64_t Extend(uint32_t offset);
+
+  Mt19937_64 engine_;
+  std::vector<uint64_t> words_;
+  std::vector<Decode> decodes_;  // indexed by starting offset
+};
+
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
+  // Replays `tape` from its first word, draw for draw identical to an Rng
+  // seeded with the tape's seed. The tape must outlive the Rng.
+  explicit Rng(StreamTape& tape) : engine_(0), tape_(&tape) {}
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -81,8 +121,23 @@ class Rng {
   // order-independence the stage-incremental plan evaluator relies on.
   static Rng ForStream(uint64_t seed, uint64_t stream, uint64_t index);
 
+  // ForStream's stream, replayed from the calling thread's recording of it
+  // (recorded on first use): every draw is bit-identical to ForStream's.
+  // Each thread keeps at most kRecordedStreamsPerThread tapes and drops
+  // them all when a new stream would exceed that; a re-recorded tape holds
+  // the same words. The returned Rng reads a tape owned by the calling
+  // thread and is valid only until that thread's next RecordedStream call.
+  static Rng RecordedStream(uint64_t seed, uint64_t stream, uint64_t index);
+  static constexpr int kRecordedStreamsPerThread = 1024;
+
  private:
+  // Runs a standard distribution over the engine or the tape.
+  template <typename Distribution>
+  typename Distribution::result_type Draw(Distribution dist);
+
   Mt19937_64 engine_;
+  StreamTape* tape_ = nullptr;  // when set, draws replay the tape
+  uint32_t cursor_ = 0;         // the tape's next word
 };
 
 }  // namespace rubberband

@@ -7,6 +7,10 @@ namespace rubberband {
 StageDraw SampleStageDraw(const StageBlock& block, uint64_t seed, int sample_index) {
   Rng rng = Rng::ForStream(seed, static_cast<uint64_t>(block.index),
                            static_cast<uint64_t>(sample_index));
+  return SampleStageDraw(block, rng);
+}
+
+StageDraw SampleStageDraw(const StageBlock& block, Rng& rng) {
   StageDraw draw;
 
   // Fixed draw order within the stage: SCALE, each INIT, each TRAIN in

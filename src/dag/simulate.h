@@ -14,6 +14,10 @@
 // exactly reusable across candidate plans (the stage-incremental
 // PlanEvaluator caches them) while keeping every path bit-identical: the
 // reference sweep here and the evaluator's cache both call SampleStageDraw.
+// The sweep here draws each stream fresh; the evaluator replays the
+// calling thread's recording of it (Rng::RecordedStream), which serves the
+// same draws from stored engine words and memoized normal decodes, so the
+// sweep stays the reference the evaluator is tested against.
 //
 // Cost, per sample:
 //   * per-function billing sums each billable TRAIN node's GPU-seconds at
@@ -74,9 +78,13 @@ struct StageDraw {
   double train_gpu_seconds = 0.0;  // billable under per-function pricing
 };
 
-// Draws stage `block` for sample `sample_index` from the keyed stream
+// Draws stage `block` for sample `sample_index` from a fresh keyed stream
 // (seed, block.index, sample_index). Pure: same arguments, same draw.
 StageDraw SampleStageDraw(const StageBlock& block, uint64_t seed, int sample_index);
+
+// Draws stage `block` from `rng`, which must be at the start of the stage's
+// keyed stream: Rng::ForStream, or Rng::RecordedStream's replay of it.
+StageDraw SampleStageDraw(const StageBlock& block, Rng& rng);
 
 // Folds stage draws into one plan sample: advances the stage clock and
 // reconstructs per-instance billing intervals (or accumulates per-function

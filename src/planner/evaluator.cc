@@ -30,10 +30,11 @@ size_t PlanEvaluator::VectorHash::operator()(const std::vector<int>& v) const {
   return static_cast<size_t>(hash);
 }
 
-PlanEvaluator::PlanEvaluator(const PlannerInputs& inputs, const PlannerOptions& options)
-    : inputs_(inputs), options_(options) {
-  if (options_.eval_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.eval_threads);
+PlanEvaluator::PlanEvaluator(const PlannerInputs& inputs, const PlannerOptions& options,
+                             std::shared_ptr<ThreadPool> pool)
+    : inputs_(inputs), options_(options), pool_(std::move(pool)) {
+  if (pool_ == nullptr && options_.eval_threads > 1) {
+    pool_ = std::make_shared<ThreadPool>(options_.eval_threads);
   }
 }
 
@@ -64,7 +65,9 @@ const PlanEvaluator::StageEntry* PlanEvaluator::GetStage(int stage_index, int gp
                                 prev_instances, inputs_.model, inputs_.cloud);
   entry->draws.reserve(static_cast<size_t>(options_.sim_samples));
   for (int i = 0; i < options_.sim_samples; ++i) {
-    entry->draws.push_back(SampleStageDraw(entry->block, options_.seed, i));
+    Rng rng = Rng::RecordedStream(options_.seed, static_cast<uint64_t>(stage_index),
+                                  static_cast<uint64_t>(i));
+    entry->draws.push_back(SampleStageDraw(entry->block, rng));
   }
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -9,7 +9,11 @@
 //   * stage cache — per (stage index, gpus, prev_instances): the resolved
 //     StageBlock plus its `sim_samples` StageDraws. A candidate plan then
 //     costs O(stages) cache lookups plus one composition pass, with only
-//     changed stages re-simulated.
+//     changed stages re-simulated. A miss replays the stage's keyed
+//     streams from the calling thread's recordings (Rng::RecordedStream):
+//     the seed is fixed, so every evaluator on a thread re-reads the same
+//     few streams, and stored words and memoized normal decodes make a
+//     re-read far cheaper than a fresh draw.
 //   * plan memo — allocation vector -> PlanEstimate. Warm starts revisit
 //     plans constantly (the static optimum is re-scored by every descent),
 //     and the tuning service re-plans the same job at admission, dequeue,
@@ -18,11 +22,12 @@
 // deadline (feasibility is checked by the planners against inputs().deadline).
 //
 // Every estimate is bit-identical to SimulatePlan(BuildDag(...)) with the
-// same seed and sample count (the tests' reference): both compose the same
-// SampleStageDraw results with the same SampleComposer arithmetic in the
-// same order. EvaluateBatch may fan candidates out over a ThreadPool;
-// evaluation is pure, results land in per-index slots, and counters are
-// mutex-guarded, so parallel runs are bit-identical to serial ones.
+// same seed and sample count (the tests' reference, which draws every
+// stream fresh): both compose the same SampleStageDraw results with the
+// same SampleComposer arithmetic in the same order. EvaluateBatch may fan
+// candidates out over a ThreadPool; evaluation is pure, results land in
+// per-index slots, and counters are mutex-guarded, so parallel runs are
+// bit-identical to serial ones.
 
 #ifndef SRC_PLANNER_EVALUATOR_H_
 #define SRC_PLANNER_EVALUATOR_H_
@@ -76,7 +81,11 @@ void PublishCacheStats(const PlannerCacheStats& stats, const MetricsScope& scope
 
 class PlanEvaluator {
  public:
-  PlanEvaluator(const PlannerInputs& inputs, const PlannerOptions& options);
+  // Candidate batches run on `pool` when one is given (evaluators driven
+  // from one thread may share it; ParallelFor is not reentrant), else on a
+  // private pool when options.eval_threads > 1.
+  PlanEvaluator(const PlannerInputs& inputs, const PlannerOptions& options,
+                std::shared_ptr<ThreadPool> pool = nullptr);
   ~PlanEvaluator();
 
   PlanEvaluator(const PlanEvaluator&) = delete;
@@ -94,7 +103,7 @@ class PlanEvaluator {
   PlanEstimate Evaluate(const AllocationPlan& plan);
 
   // Evaluates a candidate batch, preserving order; runs on the evaluator's
-  // thread pool when options().eval_threads > 1.
+  // thread pool when it has one.
   std::vector<PlanEstimate> EvaluateBatch(const std::vector<AllocationPlan>& plans);
 
   PlannerCacheStats stats() const;
@@ -123,7 +132,7 @@ class PlanEvaluator {
 
   PlannerInputs inputs_;
   PlannerOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when eval_threads <= 1
+  std::shared_ptr<ThreadPool> pool_;  // null: batches run serially
 
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, std::unique_ptr<StageEntry>> stage_cache_;

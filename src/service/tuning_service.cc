@@ -121,6 +121,22 @@ const ModelProfile& TuningService::ProfileFor(const WorkloadSpec& workload) {
   return it->second;
 }
 
+std::unique_ptr<PlanEvaluator> TuningService::MakeEvaluator(const JobRequest& request,
+                                                            Seconds deadline) {
+  PlannerOptions options = config_.planner;
+  options.max_total_gpus = std::min(options.max_total_gpus, config_.capacity_gpus);
+  // Every evaluator plans on the one service thread, so they take turns on
+  // one pool: eval_threads - 1 workers in all, however many evaluators are
+  // alive, freed when the last of them is.
+  std::shared_ptr<ThreadPool> pool = planner_pool_.lock();
+  if (pool == nullptr && options.eval_threads > 1) {
+    pool = std::make_shared<ThreadPool>(options.eval_threads);
+    planner_pool_ = pool;
+  }
+  const PlannerInputs inputs{request.spec, ProfileFor(request.workload), config_.cloud, deadline};
+  return std::make_unique<PlanEvaluator>(inputs, options, std::move(pool));
+}
+
 PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
   // ASHA jobs plan their envelope *statically*: the engine executes on a
   // fixed worker pool whose size the plan's peak chooses, so an elastic
@@ -150,11 +166,7 @@ PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
     }
     auto it = shared_evaluators_.find(key);
     if (it == shared_evaluators_.end()) {
-      PlannerOptions options = config_.planner;
-      options.max_total_gpus = std::min(options.max_total_gpus, config_.capacity_gpus);
-      const PlannerInputs inputs{job.request.spec, ProfileFor(job.request.workload), config_.cloud,
-                                 time_left};
-      it = shared_evaluators_.emplace(key, std::make_unique<PlanEvaluator>(inputs, options)).first;
+      it = shared_evaluators_.emplace(key, MakeEvaluator(job.request, time_left)).first;
     } else {
       it->second->set_deadline(time_left);
     }
@@ -165,11 +177,7 @@ PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
     return planned;
   }
   if (job.evaluator == nullptr) {
-    PlannerOptions options = config_.planner;
-    options.max_total_gpus = std::min(options.max_total_gpus, config_.capacity_gpus);
-    const PlannerInputs inputs{job.request.spec, ProfileFor(job.request.workload), config_.cloud,
-                               time_left};
-    job.evaluator = std::make_unique<PlanEvaluator>(inputs, options);
+    job.evaluator = MakeEvaluator(job.request, time_left);
   } else {
     // Re-plan (dequeue after queueing): only the deadline moved, so the
     // evaluator's caches stay valid and the search is mostly memo hits.

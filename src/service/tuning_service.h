@@ -313,8 +313,8 @@ class TuningService {
     // One evaluator per job from arrival until the job starts, is rejected
     // or is cancelled: dequeue re-planning only moves the deadline, so
     // every stage simulation and plan memo entry from admission is reused
-    // verbatim. RetireEvaluator then frees it (with its eval_threads - 1
-    // pool threads) and folds its stats into retired_cache_.
+    // verbatim. RetireEvaluator then frees it and folds its stats into
+    // retired_cache_.
     std::unique_ptr<PlanEvaluator> evaluator;
     int share_cap = 0;  // current fair-share GPU cap
   };
@@ -346,6 +346,7 @@ class TuningService {
   // executor for an eager checkpoint.
   void RouteWarning(InstanceId id);
   const ModelProfile& ProfileFor(const WorkloadSpec& workload);
+  std::unique_ptr<PlanEvaluator> MakeEvaluator(const JobRequest& request, Seconds deadline);
   PlannedJob PlanFor(Job& job, Seconds time_left);
   void RetireEvaluator(Job& job);
   int ReservationLimit() const;
@@ -384,6 +385,8 @@ class TuningService {
   // order the eager full scan visited them) plus the dirty flag.
   std::vector<size_t> running_set_;
   bool shares_dirty_ = false;
+  // The evaluators' shared planner pool, alive while any evaluator holds it.
+  std::weak_ptr<ThreadPool> planner_pool_;
   // Pooled admission evaluators, keyed by workload + spec shape
   // (ServiceConfig::share_admission_evaluator).
   std::map<std::string, std::unique_ptr<PlanEvaluator>> shared_evaluators_;

@@ -83,8 +83,9 @@ void ExpectSameEstimate(const PlanEstimate& a, const PlanEstimate& b) {
 }
 
 // The reference is SimulatePlan over a freshly built DAG: every sample
-// re-drawn for every stage. One evaluator scores all six plans, so later
-// plans compose cached stages from earlier ones.
+// re-drawn for every stage from fresh keyed streams, where the evaluator
+// replays this thread's recorded streams. One evaluator scores all six
+// plans, so later plans compose cached stages from earlier ones.
 TEST(PlanEvaluator, IncrementalMatchesFreshBitForBit) {
   for (BillingModel billing : {BillingModel::kPerInstance, BillingModel::kPerFunction}) {
     const PlannerInputs inputs = TestInputs(Minutes(30), billing);

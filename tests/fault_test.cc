@@ -579,7 +579,8 @@ TEST(ServiceFaults, MixedShapesSurviveCrashesDuringScaleUp) {
     TuningService service(config);
     for (int i = 0; i < 10; ++i) {
       ExperimentRequest request;
-      request.name = "m" + std::to_string(i);
+      const std::string index = std::to_string(i);
+      request.name = "m" + index;
       request.workload = *FindWorkload(models[i % 3]);
       request.ir.scheduler = static_cast<SchedulerKind>(i % 5);
       request.ir.reduction_factor = 2 + i % 2;

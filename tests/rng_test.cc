@@ -7,9 +7,18 @@
 // every Rng sampler, Fork, ForStream, and copies, moves and assignments
 // taken mid-block that then keep drawing. std::mt19937_64 appears here as
 // the reference only.
+//
+// The planner replays keyed streams from per-thread recordings
+// (Rng::RecordedStream over a StreamTape), so the RecordedStream tests pin
+// every replayed draw to a fresh Rng::ForStream stream: each sampler,
+// interleaved sequences, a tape decoded along one path and replayed along
+// another, a tape extended past what it recorded, eviction at the
+// per-thread cap, every Distribution kind through SampleStageDraw, and
+// replay on ThreadPool workers.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <random>
@@ -17,7 +26,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/distribution.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
+#include "src/dag/simulate.h"
 
 namespace rubberband {
 namespace {
@@ -215,6 +227,199 @@ TEST(RngIdentity, RngCopiesAndMovesContinueTheSequence) {
       }
     }
   }
+}
+
+// One interleaved draw sequence over every sampler; `round` varies the
+// parameters so decodes start at many offsets. Fork consumes one word.
+void DrawMix(Rng& rng, int round, std::vector<uint64_t>* out) {
+  out->push_back(Bits(rng.Uniform(-2.0, 3.0 + round)));
+  out->push_back(static_cast<uint64_t>(rng.UniformInt(-7, 1'000'003 + round)));
+  out->push_back(Bits(rng.Normal(1.5, 0.25 * (1 + round % 3))));
+  out->push_back(Bits(rng.LogNormal(0.1, 0.7)));
+  out->push_back(Bits(rng.Normal(-0.0, 2.0)));
+  out->push_back(Bits(rng.Exponential(40.0 + round)));
+  if (round % 7 == 3) {
+    Rng child = rng.Fork();
+    out->push_back(Bits(child.Normal(0.0, 1.0)));
+  }
+}
+
+std::vector<uint64_t> MixedDraws(Rng rng, int rounds) {
+  std::vector<uint64_t> draws;
+  for (int round = 0; round < rounds; ++round) DrawMix(rng, round, &draws);
+  return draws;
+}
+
+// Each sampler on its own: every word of the stream feeds the same sampler.
+std::vector<uint64_t> SingleSamplerDraws(Rng rng, int sampler, int n) {
+  std::vector<uint64_t> draws;
+  for (int i = 0; i < n; ++i) {
+    switch (sampler) {
+      case 0: draws.push_back(Bits(rng.Uniform(0.0, 1.0))); break;
+      case 1: draws.push_back(static_cast<uint64_t>(rng.UniformInt(0, 6))); break;
+      case 2: draws.push_back(Bits(rng.Normal(4.0, 10.0))); break;
+      case 3: draws.push_back(Bits(rng.LogNormal(-1.0, 0.5))); break;
+      default: draws.push_back(Bits(rng.Exponential(2.0))); break;
+    }
+  }
+  return draws;
+}
+
+constexpr int kSamplers = 5;
+
+TEST(RngIdentity, RecordedStreamMatchesForStreamForEverySampler) {
+  const std::vector<uint64_t> seeds = Seeds();
+  for (size_t k = 0; k < 200; ++k) {
+    const uint64_t seed = seeds[k];
+    const uint64_t stream = k % 9;
+    const uint64_t index = k % 20;
+    for (int sampler = 0; sampler < kSamplers; ++sampler) {
+      // Twice: the first pass records the tape, the second replays it.
+      for (int pass = 0; pass < 2; ++pass) {
+        ASSERT_EQ(SingleSamplerDraws(Rng::RecordedStream(seed, stream, index), sampler, 120),
+                  SingleSamplerDraws(Rng::ForStream(seed, stream, index), sampler, 120))
+            << "seed " << seed << " sampler " << sampler << " pass " << pass;
+      }
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_EQ(MixedDraws(Rng::RecordedStream(seed, stream, index), 60),
+                MixedDraws(Rng::ForStream(seed, stream, index), 60))
+          << "seed " << seed << " pass " << pass;
+    }
+  }
+}
+
+// A tape first decoded along one path (normals starting at every other
+// offset) must replay a path whose decodes start elsewhere, and then the
+// first path again, exactly as fresh streams draw them.
+TEST(RngIdentity, TapeReplaysAPathDecodedAlongAnother) {
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{5489}, SplitMix64(3), SplitMix64(4)}) {
+    StreamTape tape(seed);
+    const auto first = [](Rng rng) {
+      std::vector<uint64_t> draws;
+      for (int i = 0; i < 300; ++i) draws.push_back(Bits(rng.Normal(0.0, 1.0)));
+      return draws;
+    };
+    const auto second = [](Rng rng) {
+      // A scale-up-like prefix shifts where the normals start.
+      std::vector<uint64_t> draws = {Bits(rng.LogNormal(3.0, 0.4)), Bits(rng.Uniform(0.0, 9.0))};
+      for (int i = 0; i < 300; ++i) draws.push_back(Bits(rng.Normal(50.0, 5.0)));
+      return draws;
+    };
+    ASSERT_EQ(first(Rng(tape)), first(Rng(seed))) << "seed " << seed;
+    ASSERT_EQ(second(Rng(tape)), second(Rng(seed))) << "seed " << seed;
+    ASSERT_EQ(first(Rng(tape)), first(Rng(seed))) << "seed " << seed;
+    ASSERT_EQ(MixedDraws(Rng(tape), 80), MixedDraws(Rng(seed), 80)) << "seed " << seed;
+  }
+}
+
+// A short recording, then a reader that runs far past it: the tape extends
+// across the 156/312/624 engine boundaries, still word for word.
+TEST(RngIdentity, TapeExtendsPastItsRecordedLength) {
+  for (const uint64_t seed : Seeds()) {
+    StreamTape tape(seed);
+    ASSERT_EQ(SingleSamplerDraws(Rng(tape), 2, 3), SingleSamplerDraws(Rng(seed), 2, 3));
+    Rng replay(tape);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 3; ++i) std::normal_distribution<double>(4.0, 10.0)(reference);
+    for (int i = 0; i < 3; ++i) replay.Normal(4.0, 10.0);
+    // The normals' words are consumed; continue on raw uniforms to 2000+.
+    for (int i = 0; i < kWords; ++i) {
+      ASSERT_EQ(Bits(replay.Uniform(0.0, 1.0)),
+                Bits(std::uniform_real_distribution<double>(0.0, 1.0)(reference)))
+          << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// More distinct streams than one thread keeps: the table drops its tapes
+// and re-records them, and every draw stays the fresh stream's.
+TEST(RngIdentity, RecordedStreamsSurviveEvictionAtTheCap) {
+  const int streams = Rng::kRecordedStreamsPerThread + 50;
+  const auto check = [](int k) {
+    const uint64_t stream = static_cast<uint64_t>(k / 20);
+    const uint64_t index = static_cast<uint64_t>(k % 20);
+    return MixedDraws(Rng::RecordedStream(77, stream, index), 4) ==
+           MixedDraws(Rng::ForStream(77, stream, index), 4);
+  };
+  for (int k = 0; k < streams; ++k) {
+    ASSERT_TRUE(check(k)) << "recording stream " << k;
+  }
+  // Newest first: the last 50 replay the tapes kept after the drop, the
+  // rest were dropped and are recorded again. Each is read twice, so a
+  // re-recorded tape is replayed too.
+  for (int k = streams - 1; k >= 0; --k) {
+    ASSERT_TRUE(check(k)) << "stream " << k;
+    ASSERT_TRUE(check(k)) << "replaying stream " << k;
+  }
+}
+
+StageBlock BlockOver(const Distribution& latency, int index, int trials, int gpus,
+                     int new_instances) {
+  StageBlock block;
+  block.index = index;
+  block.trials = trials;
+  block.gpus = gpus;
+  block.gpus_per_trial = gpus >= trials ? gpus / trials : 1;
+  block.instances = new_instances;
+  block.new_instances = new_instances;
+  block.colocated = trials / 2;
+  block.scale_latency = Distribution::LogNormal(3.0, 0.4);
+  block.init_latency = latency;
+  block.train_latency = latency;
+  block.fragmented_latency = latency.Scaled(1.3);
+  block.sync_seconds = 2.0;
+  return block;
+}
+
+TEST(RngIdentity, SampleStageDrawReplaysEveryDistributionKind) {
+  const std::vector<Distribution> kinds = {
+      Distribution::Constant(5.0),
+      Distribution::TruncatedNormal(4.0, 10.0, 0.5),
+      Distribution::LogNormal(2.0, 0.3),
+      Distribution::Exponential(30.0),
+      Distribution::Uniform(10.0, 20.0),
+      Distribution::Empirical({3.0, 4.5, 9.0, 12.0, 0.25}),
+  };
+  for (size_t kind = 0; kind < kinds.size(); ++kind) {
+    for (int index = 0; index < 4; ++index) {
+      // Parallel, queued, and with or without a scale-up: the trials'
+      // draws start at different offsets of the same stream.
+      for (const StageBlock& block :
+           {BlockOver(kinds[kind], index, 16, 32, 4), BlockOver(kinds[kind], index, 16, 32, 0),
+            BlockOver(kinds[kind], index, 24, 5, 2), BlockOver(kinds[kind], index, 7, 7, 0)}) {
+        for (int sample = 0; sample < 20; ++sample) {
+          const StageDraw fresh = SampleStageDraw(block, 42, sample);
+          Rng rng = Rng::RecordedStream(42, static_cast<uint64_t>(index),
+                                        static_cast<uint64_t>(sample));
+          const StageDraw replayed = SampleStageDraw(block, rng);
+          ASSERT_EQ(Bits(replayed.span), Bits(fresh.span)) << "kind " << kind;
+          ASSERT_EQ(Bits(replayed.scale_done), Bits(fresh.scale_done)) << "kind " << kind;
+          ASSERT_EQ(Bits(replayed.train_gpu_seconds), Bits(fresh.train_gpu_seconds))
+              << "kind " << kind;
+        }
+      }
+    }
+  }
+}
+
+// Every pool thread records its own tapes; whichever lane replays a stream,
+// and however often, the draws are the fresh stream's.
+TEST(RngIdentity, RecordedStreamsReplayOnThreadPoolWorkers) {
+  ThreadPool pool(4);
+  constexpr int kStreams = 240;
+  std::atomic<int> mismatches{0};
+  for (int round = 0; round < 6; ++round) {
+    pool.ParallelFor(kStreams, [&](int k) {
+      const uint64_t stream = static_cast<uint64_t>(k % 12);
+      const uint64_t index = static_cast<uint64_t>(k / 12);
+      if (MixedDraws(Rng::RecordedStream(42, stream, index), 10 + round) !=
+          MixedDraws(Rng::ForStream(42, stream, index), 10 + round)) {
+        mismatches.fetch_add(1);
+      }
+    });
+  }
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -338,6 +338,39 @@ TEST(Service, JobEvaluatorsAreFreedWhenJobsLeaveAdmission) {
             expected.plan_evaluations + expected.plan_memo_hits);
 }
 
+// Shared admission evaluators live as long as the service, one per shape.
+// They plan on one pool: 20 shapes at eval_threads = 4 hold 3 workers, not
+// 20 pools of 3.
+TEST(Service, SharedEvaluatorsPlanOnOneBoundedPool) {
+  std::vector<JobRequest> trace;
+  for (int i = 0; i < 20; ++i) {
+    JobRequest job = MakeJob("shape-" + std::to_string(i), 5000.0 * i, 3600.0);
+    job.spec = MakeSha(4 + i, 2, 14, 2);
+    trace.push_back(job);
+  }
+  ServiceConfig config = BaseConfig();
+  config.share_admission_evaluator = true;
+  const ServiceReport serial = RunTrace(config, trace);
+
+  config.planner.eval_threads = 4;
+  std::thread([] {}).join();  // see JobEvaluatorsAreFreedWhenJobsLeaveAdmission
+  const int threads_before = CountThreads();
+  TuningService service(config);
+  for (const JobRequest& job : trace) {
+    service.Submit(job);
+  }
+  const ServiceReport parallel = service.Run();
+  EXPECT_TRUE(ThreadsSettleAtOrBelow(threads_before + 3))
+      << CountThreads() << " threads, " << threads_before << " before the service";
+  ASSERT_EQ(parallel.jobs.size(), serial.jobs.size());
+  for (size_t i = 0; i < serial.jobs.size(); ++i) {
+    EXPECT_EQ(parallel.jobs[i].state, serial.jobs[i].state) << serial.jobs[i].name;
+    EXPECT_EQ(parallel.jobs[i].plan, serial.jobs[i].plan) << serial.jobs[i].name;
+    EXPECT_EQ(parallel.jobs[i].jct, serial.jobs[i].jct) << serial.jobs[i].name;
+    EXPECT_EQ(parallel.jobs[i].cost, serial.jobs[i].cost) << serial.jobs[i].name;
+  }
+}
+
 TEST(Service, BudgetRejectsJobsWhoseCheapestPlanIsTooExpensive) {
   ServiceConfig config = BaseConfig();
   JobRequest job = MakeJob("frugal", 0.0, 3600.0);

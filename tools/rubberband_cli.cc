@@ -263,8 +263,8 @@ bool BuildSetup(const Flags& flags, CliSetup& setup) {
 
   setup.deadline = Minutes(flags.GetDouble("deadline-min", 20.0));
   setup.seed = static_cast<uint64_t>(flags.GetInt64("seed", 1));
-  // Each evaluator starts eval_threads - 1 pool threads; more threads than
-  // the host runs buy nothing, so the count is capped there.
+  // A planner pool starts eval_threads - 1 worker threads; more threads
+  // than the host runs buy nothing, so the count is capped there.
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   const int max_plan_threads = hardware_threads > 0 ? static_cast<int>(hardware_threads) : 256;
   setup.planner.eval_threads = flags.GetInt("plan-threads", 1);
