@@ -157,7 +157,6 @@ PlacementResult PlacementController::PlaceScattered(const std::map<TrialId, int>
       result.unplaced.push_back(trial);
     }
   }
-  result.plan = plan_;
   return result;
 }
 
@@ -283,7 +282,6 @@ PlacementResult PlacementController::Place(const std::map<TrialId, int>& allocat
     }
   }
 
-  result.plan = plan_;
   return result;
 }
 

@@ -23,7 +23,6 @@
 namespace rubberband {
 
 struct PlacementResult {
-  PlacementPlan plan;
   // Trials that could not be placed (cluster too small); the scheduler
   // queues them until resources free up.
   std::vector<TrialId> unplaced;
@@ -62,7 +61,8 @@ class PlacementController {
 
   // Algorithm 3. `allocations` maps every trial that should be running to
   // its GPU allocation; `reserved` lists trials whose placements are locked
-  // this epoch. Returns the new placement plan (also retained internally).
+  // this epoch. The new placement plan is retained (plan()); the result
+  // lists the trials that did not fit.
   PlacementResult Place(const std::map<TrialId, int>& allocations,
                         const std::set<TrialId>& reserved = {});
 

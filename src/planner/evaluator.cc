@@ -64,9 +64,10 @@ const PlanEvaluator::StageEntry* PlanEvaluator::GetStage(int stage_index, int gp
   entry->block = MakeStageBlock(inputs_.spec.stage(stage_index), stage_index, gpus,
                                 prev_instances, inputs_.model, inputs_.cloud);
   entry->draws.reserve(static_cast<size_t>(options_.sim_samples));
-  for (int i = 0; i < options_.sim_samples; ++i) {
-    Rng rng = Rng::RecordedStream(options_.seed, static_cast<uint64_t>(stage_index),
-                                  static_cast<uint64_t>(i));
+  const std::span<StreamTape> tapes = Rng::RecordedStreams(
+      options_.seed, static_cast<uint64_t>(stage_index), options_.sim_samples);
+  for (StreamTape& tape : tapes) {
+    Rng rng(tape);
     entry->draws.push_back(SampleStageDraw(entry->block, rng));
   }
 

@@ -56,6 +56,39 @@ TEST(FairShare, EdgeCases) {
   EXPECT_EQ(FairShares(10, {{0, 1.0}, {4, 1.0}}), (std::vector<int>{0, 4}));
 }
 
+// The service skips the arbiter while the running jobs' demands fit in
+// capacity, granting each job its whole demand (0 when its demand or
+// weight is not positive). That shortcut must be exactly FairShares' answer,
+// ties at sum(demand) == capacity included.
+TEST(FairShare, DemandsThatFitAreGrantedWhole) {
+  Rng rng(20261018);
+  for (int set = 0; set < 50000; ++set) {
+    const int jobs = static_cast<int>(rng.UniformInt(1, 12));
+    std::vector<ShareRequest> requests;
+    std::vector<int> expected;
+    int total_demand = 0;
+    for (int j = 0; j < jobs; ++j) {
+      ShareRequest request;
+      request.demand = static_cast<int>(rng.UniformInt(-1, 64));
+      // Mostly positive weights of assorted magnitudes, some zero or
+      // negative, some equal (equal slices are where rounding bites).
+      const int64_t kind = rng.UniformInt(0, 9);
+      request.weight = kind == 0   ? 0.0
+                       : kind == 1 ? -1.0
+                       : kind < 5  ? 1.0
+                                   : rng.Uniform(0.01, 10.0);
+      requests.push_back(request);
+      const bool counted = request.demand > 0 && request.weight > 0.0;
+      expected.push_back(counted ? request.demand : 0);
+      total_demand += std::max(0, request.demand);
+    }
+    // Half the sets sit exactly at capacity, the rest have some slack.
+    const int slack = rng.UniformInt(0, 1) == 0 ? 0 : static_cast<int>(rng.UniformInt(1, 8));
+    const int capacity = total_demand + slack;
+    ASSERT_EQ(FairShares(capacity, requests), expected) << "set " << set;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TuningService.
 
@@ -262,6 +295,49 @@ TEST(Service, OvercommitMakesTheFairShareArbiterBind) {
   }
   // At least one job ran below its planned peak: the caps actually bit.
   EXPECT_GT(bound, 0);
+}
+
+// The caps a reader sees equal a from-scratch FairShares over the running
+// jobs at every step of an overcommitted mixed trace: the incremental
+// under-capacity shortcut and the lazy recompute agree with the arbiter
+// across every transition between the two regimes.
+TEST(Service, IncrementalSharesMatchAFullArbitration) {
+  ServiceConfig config = BaseConfig();
+  config.capacity_gpus = 24;
+  config.overcommit = 2.0;
+  TuningService service(config);
+  service.StartLive();
+  for (int i = 0; i < 10; ++i) {
+    JobRequest job = MakeJob("j", 120.0 * i, 3600.0 * (1.0 + 0.5 * (i % 3)));
+    job.name += std::to_string(i);
+    job.spec = MakeSha(4 + 4 * (i % 3), 1, 8 + 2 * (i % 4), 2);
+    job.weight = 0.5 + 0.5 * (i % 4);
+    service.SubmitLive(std::move(job));
+  }
+  int checks = 0;
+  int binding = 0;
+  for (Seconds t = 0.0; (!service.LiveIdle() || t == 0.0) && t < 1e6; t += 20.0) {
+    service.AdvanceUntil(t);
+    std::vector<size_t> running;
+    std::vector<ShareRequest> requests;
+    for (size_t i = 0; i < service.num_jobs(); ++i) {
+      if (service.outcome(i).state == JobState::kRunning) {
+        running.push_back(i);
+        requests.push_back(
+            ShareRequest{service.planned(i).plan.MaxGpus(), service.request(i).weight});
+      }
+    }
+    const std::vector<int> expected = FairShares(config.capacity_gpus, requests);
+    for (size_t k = 0; k < running.size(); ++k) {
+      ASSERT_EQ(service.share_cap(running[k]), expected[k])
+          << "job " << running[k] << " at " << t;
+      ++checks;
+      binding += expected[k] < requests[k].demand ? 1 : 0;
+    }
+  }
+  service.FinishLive();
+  EXPECT_GT(checks, 0);
+  EXPECT_GT(binding, 0);  // the overcommitted regime was reached
 }
 
 // OS threads of this process. The kernel drops a joined thread's task

@@ -42,8 +42,9 @@
 # to the uninterrupted run.
 #
 # tools/check.sh --perf runs the control-plane/DES-kernel throughput
-# gate in the default build tree: the EventQueue and RngIdentity suites,
-# then bench/service_throughput --fleet 10000 (a 10k-job sha trace plus
+# gate in the default build tree: the EventQueue and RngIdentity suites and
+# the fleet replay's heap-allocation budget (AllocationBudget: at most 200
+# allocations per uniform SHA job), then bench/service_throughput --fleet 10000 (a 10k-job sha trace plus
 # a 2k-experiment mixed-scheduler trace) under a wall-clock budget
 # (RB_PERF_BUDGET_S, default 60s), plus the kernel microbench allocation
 # check and random-engine gate (bench/micro_simulator --json). Any
@@ -119,7 +120,7 @@ elif [[ "${1:-}" == "--chaos" ]]; then
   ctest_args+=(-R "Wal|Idempotency|ServerFault|SnapshotRestore|SurviveRestore|DrainPersists")
   chaos_bench=1
 elif [[ "${1:-}" == "--perf" ]]; then
-  ctest_args+=(-R "EventQueue|RngIdentity")
+  ctest_args+=(-R "EventQueue|RngIdentity|AllocationBudget")
   perf_bench=1
 elif [[ "${1:-}" == "--spot" ]]; then
   ctest_args+=(-R "Spot")
