@@ -105,7 +105,7 @@ BENCHMARK(BM_EndToEndExecutionObserved)->Arg(16)->Arg(64);
 //
 // Stage s of sample i draws from the keyed stream (seed, s, i) and takes a
 // handful of normals from it: fresh from Rng::ForStream in the reference
-// sweep, replayed from Rng::RecordedStream in the planner. Long streams (the
+// sweep, replayed from Rng::RecordedStreams in the planner. Long streams (the
 // simulation's own Rng, fault and spot traces) draw many words from one
 // engine.
 
@@ -131,7 +131,7 @@ void BM_RecordedStreamDraw(benchmark::State& state) {
   const int draws = static_cast<int>(state.range(0));
   uint64_t index = 0;
   for (auto _ : state) {
-    Rng rng = Rng::RecordedStream(1, 3, index++ % kPlannerSamples);
+    Rng rng(Rng::RecordedStreams(1, 3, kPlannerSamples)[index++ % kPlannerSamples]);
     double sum = 0.0;
     for (int i = 0; i < draws; ++i) sum += rng.Normal(0.0, 1.0);
     benchmark::DoNotOptimize(sum);
@@ -280,7 +280,8 @@ uint64_t PlannerStreams() {
   for (int s = 0; s < kNewStreams; ++s) {
     const uint64_t stream = static_cast<uint64_t>(s % kPlannerStreams / kPlannerSamples);
     const uint64_t index = static_cast<uint64_t>(s % kPlannerSamples);
-    Rng rng = kRecorded ? Rng::RecordedStream(1, stream, index) : Rng::ForStream(1, stream, index);
+    Rng rng = kRecorded ? Rng(Rng::RecordedStreams(1, stream, kPlannerSamples)[index])
+                        : Rng::ForStream(1, stream, index);
     for (int i = 0; i < kNewStreamNormals; ++i) {
       checksum = checksum * 31 + std::bit_cast<uint64_t>(rng.Normal(0.0, 1.0));
     }

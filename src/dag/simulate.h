@@ -15,7 +15,7 @@
 // PlanEvaluator caches them) while keeping every path bit-identical: the
 // reference sweep here and the evaluator's cache both call SampleStageDraw.
 // The sweep here draws each stream fresh; the evaluator replays the
-// calling thread's recording of it (Rng::RecordedStream), which serves the
+// calling thread's recording of it (Rng::RecordedStreams), which serves the
 // same draws from stored engine words and memoized normal decodes, so the
 // sweep stays the reference the evaluator is tested against.
 //
@@ -83,7 +83,7 @@ struct StageDraw {
 StageDraw SampleStageDraw(const StageBlock& block, uint64_t seed, int sample_index);
 
 // Draws stage `block` from `rng`, which must be at the start of the stage's
-// keyed stream: Rng::ForStream, or Rng::RecordedStream's replay of it.
+// keyed stream: Rng::ForStream, or a replay of its Rng::RecordedStreams tape.
 StageDraw SampleStageDraw(const StageBlock& block, Rng& rng);
 
 // Folds stage draws into one plan sample: advances the stage clock and

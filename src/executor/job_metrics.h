@@ -1,0 +1,46 @@
+// The metrics a finished job exports, read from its ExecutionReport.
+//
+// Executor and AshaEngine count into their report's plain fields (no
+// registry, no string-keyed handles). A JobMetricsSum adds finished jobs'
+// reports, in completion order, and binds the metric names once, at
+// export: the tuning service sums its fleet for the report and MetricsNow,
+// and a standalone run exports a sum of one.
+
+#ifndef SRC_EXECUTOR_JOB_METRICS_H_
+#define SRC_EXECUTOR_JOB_METRICS_H_
+
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "src/executor/executor.h"
+#include "src/obs/metrics.h"
+
+namespace rubberband {
+
+class JobMetricsSum {
+ public:
+  JobMetricsSum();
+
+  // Adds the values `report` exports (its *_metrics families) and the
+  // histograms in report.metrics, which on a shared cluster hold only the
+  // observe-mode executor.* histograms. The double gauges are sums whose
+  // last digits depend on the order jobs are added in.
+  void Add(const ExecutionReport& report);
+
+  // Adds every family any added report carried into `snapshot` under its
+  // metric names (gauges add as accumulators, histograms bucket-wise).
+  void ExportTo(MetricsSnapshot* snapshot) const;
+
+ private:
+  unsigned families_ = 0;
+  // By position in the export tables (job_metrics.cc).
+  std::vector<int64_t> counters_;
+  std::vector<double> gauges_;
+  std::map<std::string, HistogramSnapshot> histograms_;
+};
+
+}  // namespace rubberband
+
+#endif  // SRC_EXECUTOR_JOB_METRICS_H_

@@ -10,7 +10,7 @@
 //     StageBlock plus its `sim_samples` StageDraws. A candidate plan then
 //     costs O(stages) cache lookups plus one composition pass, with only
 //     changed stages re-simulated. A miss replays the stage's keyed
-//     streams from the calling thread's recordings (Rng::RecordedStream):
+//     streams from the calling thread's recordings (Rng::RecordedStreams):
 //     the seed is fixed, so every evaluator on a thread re-reads the same
 //     few streams, and stored words and memoized normal decodes make a
 //     re-read far cheaper than a fresh draw.

@@ -5,12 +5,16 @@
 
 namespace rubberband {
 
+int UncontendedShare(const ShareRequest& request) {
+  return request.demand > 0 && request.weight > 0.0 ? request.demand : 0;
+}
+
 std::vector<int> FairShares(int capacity_gpus, const std::vector<ShareRequest>& requests) {
   const size_t n = requests.size();
   std::vector<int> shares(n, 0);
   std::vector<size_t> active;
   for (size_t i = 0; i < n; ++i) {
-    if (requests[i].demand > 0 && requests[i].weight > 0.0) {
+    if (UncontendedShare(requests[i]) > 0) {
       active.push_back(i);
     }
   }

@@ -19,6 +19,12 @@ struct ShareRequest {
   double weight = 1.0;
 };
 
+// A request's share when every demand fits in capacity: its whole demand,
+// or 0 if it takes no part in the division (a demand or weight that is not
+// positive). FairShares returns exactly this then, and divides capacity
+// only among requests whose uncontended share is positive.
+int UncontendedShare(const ShareRequest& request);
+
 // Returns one share per request, in order. Shares never exceed demand, sum
 // to at most `capacity_gpus`, and are weighted max-min fair: no job can
 // gain except by taking from a job with a smaller share-per-weight.

@@ -9,7 +9,7 @@
 // the reference only.
 //
 // The planner replays keyed streams from per-thread recordings
-// (Rng::RecordedStream over a StreamTape), so the RecordedStream tests pin
+// (Rng::RecordedStreams over StreamTapes), so the RecordedStream tests pin
 // every replayed draw to a fresh Rng::ForStream stream: each sampler,
 // interleaved sequences, a tape decoded along one path and replayed along
 // another, a tape extended past what it recorded, eviction at the
@@ -267,6 +267,12 @@ std::vector<uint64_t> SingleSamplerDraws(Rng rng, int sampler, int n) {
 
 constexpr int kSamplers = 5;
 
+// Index `index` of a stream key's recorded tapes, fetched as a stage
+// sampler fetches them (every index up to `index` gets a tape).
+Rng Recorded(uint64_t seed, uint64_t stream, uint64_t index) {
+  return Rng(Rng::RecordedStreams(seed, stream, static_cast<int>(index) + 1)[index]);
+}
+
 TEST(RngIdentity, RecordedStreamMatchesForStreamForEverySampler) {
   const std::vector<uint64_t> seeds = Seeds();
   for (size_t k = 0; k < 200; ++k) {
@@ -276,13 +282,13 @@ TEST(RngIdentity, RecordedStreamMatchesForStreamForEverySampler) {
     for (int sampler = 0; sampler < kSamplers; ++sampler) {
       // Twice: the first pass records the tape, the second replays it.
       for (int pass = 0; pass < 2; ++pass) {
-        ASSERT_EQ(SingleSamplerDraws(Rng::RecordedStream(seed, stream, index), sampler, 120),
+        ASSERT_EQ(SingleSamplerDraws(Recorded(seed, stream, index), sampler, 120),
                   SingleSamplerDraws(Rng::ForStream(seed, stream, index), sampler, 120))
             << "seed " << seed << " sampler " << sampler << " pass " << pass;
       }
     }
     for (int pass = 0; pass < 2; ++pass) {
-      ASSERT_EQ(MixedDraws(Rng::RecordedStream(seed, stream, index), 60),
+      ASSERT_EQ(MixedDraws(Recorded(seed, stream, index), 60),
                 MixedDraws(Rng::ForStream(seed, stream, index), 60))
           << "seed " << seed << " pass " << pass;
     }
@@ -339,7 +345,7 @@ TEST(RngIdentity, RecordedStreamsSurviveEvictionAtTheCap) {
   const auto check = [](int k) {
     const uint64_t stream = static_cast<uint64_t>(k / 20);
     const uint64_t index = static_cast<uint64_t>(k % 20);
-    return MixedDraws(Rng::RecordedStream(77, stream, index), 4) ==
+    return MixedDraws(Recorded(77, stream, index), 4) ==
            MixedDraws(Rng::ForStream(77, stream, index), 4);
   };
   for (int k = 0; k < streams; ++k) {
@@ -390,8 +396,7 @@ TEST(RngIdentity, SampleStageDrawReplaysEveryDistributionKind) {
             BlockOver(kinds[kind], index, 24, 5, 2), BlockOver(kinds[kind], index, 7, 7, 0)}) {
         for (int sample = 0; sample < 20; ++sample) {
           const StageDraw fresh = SampleStageDraw(block, 42, sample);
-          Rng rng = Rng::RecordedStream(42, static_cast<uint64_t>(index),
-                                        static_cast<uint64_t>(sample));
+          Rng rng = Recorded(42, static_cast<uint64_t>(index), static_cast<uint64_t>(sample));
           const StageDraw replayed = SampleStageDraw(block, rng);
           ASSERT_EQ(Bits(replayed.span), Bits(fresh.span)) << "kind " << kind;
           ASSERT_EQ(Bits(replayed.scale_done), Bits(fresh.scale_done)) << "kind " << kind;
@@ -413,7 +418,7 @@ TEST(RngIdentity, RecordedStreamsReplayOnThreadPoolWorkers) {
     pool.ParallelFor(kStreams, [&](int k) {
       const uint64_t stream = static_cast<uint64_t>(k % 12);
       const uint64_t index = static_cast<uint64_t>(k / 12);
-      if (MixedDraws(Rng::RecordedStream(42, stream, index), 10 + round) !=
+      if (MixedDraws(Recorded(42, stream, index), 10 + round) !=
           MixedDraws(Rng::ForStream(42, stream, index), 10 + round)) {
         mismatches.fetch_add(1);
       }
