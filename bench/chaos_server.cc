@@ -19,7 +19,10 @@
 //   --json <path>        write BENCH_chaos.json
 //
 // Exits non-zero if any seed's chaos report differs from its control
-// report — tools/check.sh --chaos runs this as a gate, not a benchmark.
+// report, or if a seed recovered a journal holding a submit whose arrival
+// was decided at submit and applied no journaled decision (recovery
+// re-planned what it should have read back) — tools/check.sh --chaos runs
+// this as a gate, not a benchmark.
 
 #include <cstdio>
 #include <cstdint>
@@ -67,6 +70,7 @@ struct ChaosCounters {
   int torn_tails_injected = 0;
   int64_t wal_recoveries = 0;
   int64_t ops_replayed = 0;
+  int64_t decisions_applied = 0;
   int64_t torn_tails_truncated = 0;
   int64_t idem_duplicates = 0;
   int64_t client_retries = 0;
@@ -78,7 +82,16 @@ struct ChaosRun {
   bool ok = false;
   std::string final_report;
   ChaosCounters counters;
+  // Some restart recovered a journal holding a submit acknowledged as
+  // decided (running or rejected, not pending or queued).
+  bool recovered_decided_submit = false;
 };
+
+// A submit acknowledged in this state had its arrival decided by the op.
+bool DecidedAtSubmit(const JsonValue& decision) {
+  const std::string& state = decision.at("state").string();
+  return state == "RUNNING" || state.rfind("REJECTED", 0) == 0;
+}
 
 bool Call(Client& client, const std::string& method, const JsonValue& params,
           const std::string& idem, JsonValue* result) {
@@ -120,6 +133,7 @@ void HarvestServer(Server& server, ChaosCounters* counters) {
   if (runner->wal_stats().recovered) {
     ++counters->wal_recoveries;
     counters->ops_replayed += runner->wal_stats().ops_replayed;
+    counters->decisions_applied += runner->wal_stats().decisions_applied;
     if (runner->wal_stats().torn_tail_truncated) {
       ++counters->torn_tails_truncated;
     }
@@ -155,6 +169,7 @@ ChaosRun RunTrace(uint64_t seed, int jobs, double kill_rate, bool chaos) {
   }
 
   Rng schedule = Rng::ForStream(seed, /*stream=*/0xC4A05, /*index=*/0);
+  bool journaled_decided_submit = false;
   for (int i = 0; i < jobs; ++i) {
     const double at = static_cast<double>(i) * kArrivalGapS;
     if (!AdvanceTo(client, at)) {
@@ -165,6 +180,7 @@ ChaosRun RunTrace(uint64_t seed, int jobs, double kill_rate, bool chaos) {
     if (!Call(client, "submit", TinySubmitParams(name), /*idem=*/name, &decision)) {
       return run;
     }
+    journaled_decided_submit = journaled_decided_submit || DecidedAtSubmit(decision);
 
     if (chaos && schedule.Uniform(0.0, 1.0) < kill_rate) {
       // kill -9 between ops. Half the kills also die mid-append: splice a
@@ -174,6 +190,7 @@ ChaosRun RunTrace(uint64_t seed, int jobs, double kill_rate, bool chaos) {
       server->Kill();
       server.reset();
       ++run.counters.kills;
+      run.recovered_decided_submit = run.recovered_decided_submit || journaled_decided_submit;
       if (schedule.Uniform(0.0, 1.0) < 0.5) {
         std::ofstream torn(wal_path, std::ios::binary | std::ios::app);
         torn << std::string("\x00\x00\x01", 3);
@@ -247,13 +264,15 @@ bool WriteJson(const std::string& path, int jobs, double kill_rate,
     std::fprintf(file,
                  "    {\"seed\": %llu, \"report_identical\": %s, \"kills\": %d, "
                  "\"torn_tails_injected\": %d, \"wal_recoveries\": %lld, "
-                 "\"ops_replayed\": %lld, \"torn_tails_truncated\": %lld, "
+                 "\"ops_replayed\": %lld, \"decisions_applied\": %lld, "
+                 "\"torn_tails_truncated\": %lld, "
                  "\"idem_duplicates\": %lld, \"client_retries\": %lld, "
                  "\"client_reconnects\": %lld, \"client_timeouts\": %lld}%s\n",
                  static_cast<unsigned long long>(v.seed), v.identical ? "true" : "false",
                  v.counters.kills, v.counters.torn_tails_injected,
                  static_cast<long long>(v.counters.wal_recoveries),
                  static_cast<long long>(v.counters.ops_replayed),
+                 static_cast<long long>(v.counters.decisions_applied),
                  static_cast<long long>(v.counters.torn_tails_truncated),
                  static_cast<long long>(v.counters.idem_duplicates),
                  static_cast<long long>(v.counters.client_retries),
@@ -277,6 +296,7 @@ int Main(int argc, char** argv) {
   bench::Heading("chaos: seeded kill/restart vs uninterrupted control");
   std::vector<SeedVerdict> verdicts;
   bool all_identical = true;
+  bool decisions_read_back = true;
   for (int s = 0; s < seeds; ++s) {
     const uint64_t seed = base_seed + static_cast<uint64_t>(s);
     const ChaosRun control = RunTrace(seed, jobs, kill_rate, /*chaos=*/false);
@@ -287,14 +307,19 @@ int Main(int argc, char** argv) {
     verdict.identical =
         control.ok && chaotic.ok && control.final_report == chaotic.final_report;
     all_identical = all_identical && verdict.identical;
+    const bool vacuous =
+        chaotic.recovered_decided_submit && chaotic.counters.decisions_applied == 0;
+    decisions_read_back = decisions_read_back && !vacuous;
     verdicts.push_back(verdict);
     std::printf(
         "seed %llu: %s (%d kills, %d torn tails, %lld ops replayed, "
-        "%lld idem duplicates, %lld client retries)\n",
+        "%lld decisions applied%s, %lld idem duplicates, %lld client retries)\n",
         static_cast<unsigned long long>(seed),
         verdict.identical ? "report byte-identical" : "REPORT DIVERGED",
         chaotic.counters.kills, chaotic.counters.torn_tails_injected,
         static_cast<long long>(chaotic.counters.ops_replayed),
+        static_cast<long long>(chaotic.counters.decisions_applied),
+        vacuous ? " (NONE, yet a decided submit was journaled)" : "",
         static_cast<long long>(chaotic.counters.idem_duplicates),
         static_cast<long long>(chaotic.counters.client_retries));
   }
@@ -311,6 +336,11 @@ int Main(int argc, char** argv) {
   }
   if (!all_identical) {
     std::fprintf(stderr, "error: chaos run diverged from control\n");
+    return 1;
+  }
+  if (!decisions_read_back) {
+    std::fprintf(stderr,
+                 "error: a seed recovered a decided submit but applied no journaled decision\n");
     return 1;
   }
   return 0;

@@ -14,18 +14,36 @@
 // proof row for the allocation-free kernel — the same table also reports
 // EventCallback heap fallbacks, which must stay zero.
 //
+// A third section measures restart cost against journal length: it
+// journals N distinct-shape SHA submits (N = 50, 200, 800) through a
+// ServiceRunner with a write-ahead journal, then times ServiceRunner::Open
+// on a fresh copy of that journal 5 times (median/min/max, with the build
+// type and core count). The checked-in BENCH_service.json also holds, as
+// `restart_before`, the same section built against the commit before
+// submits journaled their admission decisions, run on the same host.
+//
 //   --json <path>   additionally write the table as JSON (BENCH_service.json)
 //   --seed <n>      service RNG seed (default 7, the checked-in baseline)
 //   --fleet <n>     run ONLY the n-job fleet trace (the --perf CI tier)
 //   --budget-s <s>  with --fleet: fail (exit 1) if wall clock exceeds s
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/flags.h"
+#include "src/server/service_runner.h"
+
+#ifndef RB_BUILD_TYPE
+#define RB_BUILD_TYPE "unknown"
+#endif
 
 namespace rubberband {
 namespace {
@@ -174,6 +192,99 @@ FleetRow FleetReplay(int num_jobs, uint64_t seed, bool mixed = false) {
   return row;
 }
 
+struct RestartRow {
+  int submits = 0;
+  int64_t wal_bytes = 0;
+  int64_t ops_replayed = 0;
+  int reps = 0;
+  double open_s_median = 0.0;
+  double open_s_min = 0.0;
+  double open_s_max = 0.0;
+};
+
+// Submit `i` of the restart trace, shaped like the end-to-end benchmark's
+// mixed serve stream (three models, eta 2 or 3, one deadline in eight too
+// tight for any plan) but with a distinct (trials, max_iters) per submit
+// up to 812 submits, so no two share an admission plan.
+JsonValue RestartSubmit(int i) {
+  static const char* const kModels[] = {"resnet101-cifar10", "resnet152-cifar100", "bert-rte"};
+  const double jitter = std::fmod(0.618033988749895 * (i + 1), 1.0);
+  const int deadline_class = i % 8;
+  const double hours = 1.0 + deadline_class;
+  const double deadline_s = deadline_class == 0 ? std::floor(120.0 + 480.0 * jitter)
+                                                : std::floor(hours * 3600.0 * (0.9 + 0.2 * jitter));
+  JsonValue params = JsonValue::MakeObject();
+  params.Set("name", JsonValue::MakeString("r" + std::to_string(i)));
+  params.Set("workload", JsonValue::MakeString(kModels[i % 3]));
+  params.Set("trials", JsonValue::MakeNumber(4 + i % 29));
+  params.Set("min_iters", JsonValue::MakeNumber(1));
+  params.Set("max_iters", JsonValue::MakeNumber(4 + (i / 29) % 28));
+  params.Set("eta", JsonValue::MakeNumber(2 + i % 2));
+  params.Set("deadline_s", JsonValue::MakeNumber(deadline_s));
+  return params;
+}
+
+// Journals `submits` submits, one per 30 simulated seconds with an advance
+// after every fourth, then reopens the journal `reps` times.
+RestartRow MeasureRestart(int submits, uint64_t seed, int reps) {
+  RunnerOptions options;
+  ServiceConfig& config = options.service;
+  config.cloud = bench::P38Cloud(/*queuing_seconds=*/30.0, /*init_seconds=*/120.0);
+  config.capacity_gpus = 512;
+  config.warm_pool.max_parked = 32;
+  config.warm_pool.max_idle_seconds = 300.0;
+  config.seed = seed;
+  config.share_admission_evaluator = true;
+  config.keep_job_artifacts = false;
+  config.per_tenant_metrics = false;
+  config.planner.eval_threads = 1;
+  options.wal.fsync = FsyncPolicy::kOff;
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string journal = (dir / ("rb_restart_" + std::to_string(submits) + ".wal")).string();
+  const std::string copy = journal + ".open";
+  options.wal_path = journal;
+  {
+    ServiceRunner runner(options);
+    Request advance;
+    advance.method = "advance";
+    advance.params.Set("seconds", JsonValue::MakeNumber(120.0));
+    for (int i = 0; i < submits; ++i) {
+      Request submit;
+      submit.method = "submit";
+      submit.params = RestartSubmit(i);
+      const OpResult result = runner.Handle(submit);
+      if (!result.ok) {
+        throw std::runtime_error("restart trace submit failed: " + result.message);
+      }
+      if (i % 4 == 3) {
+        runner.Handle(advance);
+      }
+    }
+  }
+
+  RestartRow row;
+  row.submits = submits;
+  row.reps = reps;
+  row.wal_bytes = static_cast<int64_t>(std::filesystem::file_size(journal));
+  options.wal_path = copy;
+  std::vector<double> seconds;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::filesystem::copy_file(journal, copy, std::filesystem::copy_options::overwrite_existing);
+    const auto start = std::chrono::steady_clock::now();
+    const std::unique_ptr<ServiceRunner> recovered = ServiceRunner::Open(options);
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+    seconds.push_back(wall.count());
+    row.ops_replayed = recovered->wal_stats().ops_replayed;
+  }
+  std::filesystem::remove(journal);
+  std::filesystem::remove(copy);
+  std::sort(seconds.begin(), seconds.end());
+  row.open_s_median = seconds[seconds.size() / 2];
+  row.open_s_min = seconds.front();
+  row.open_s_max = seconds.back();
+  return row;
+}
+
 Row MakeRow(int jobs, const std::string& mode, const ServiceReport& report) {
   Row row;
   row.jobs = jobs;
@@ -189,7 +300,7 @@ Row MakeRow(int jobs, const std::string& mode, const ServiceReport& report) {
 }
 
 bool WriteJson(const std::string& path, const std::vector<Row>& rows,
-               const std::vector<FleetRow>& fleet) {
+               const std::vector<FleetRow>& fleet, const std::vector<RestartRow>& restart) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -219,6 +330,19 @@ bool WriteJson(const std::string& path, const std::vector<Row>& rows,
                  row.jobs_per_s, static_cast<long long>(row.events), row.events_per_s,
                  static_cast<long long>(row.heap_fallbacks), row.hit_rate, row.makespan,
                  i + 1 < fleet.size() ? "," : "");
+  }
+  std::fprintf(file, "  ],\n  \"restart\": [\n");
+  const unsigned nproc = std::thread::hardware_concurrency();
+  for (size_t i = 0; i < restart.size(); ++i) {
+    const RestartRow& row = restart[i];
+    std::fprintf(file,
+                 "    {\"submits\": %d, \"wal_bytes\": %lld, \"ops_replayed\": %lld, "
+                 "\"reps\": %d, \"open_s_median\": %.4f, \"open_s_min\": %.4f, "
+                 "\"open_s_max\": %.4f, \"build_type\": \"%s\", \"nproc\": %u}%s\n",
+                 row.submits, static_cast<long long>(row.wal_bytes),
+                 static_cast<long long>(row.ops_replayed), row.reps, row.open_s_median,
+                 row.open_s_min, row.open_s_max, RB_BUILD_TYPE, nproc,
+                 i + 1 < restart.size() ? "," : "");
   }
   std::fprintf(file, "  ]\n}\n");
   std::fclose(file);
@@ -311,13 +435,25 @@ int Main(int argc, char** argv) {
   fleet.push_back(mixed);
   PrintFleetRow(mixed);
 
+  bench::Heading("restart: ServiceRunner::Open against journal length");
+  std::printf("%8s %10s %8s %10s %10s %10s\n", "submits", "wal bytes", "ops", "median",
+              "min", "max");
+  std::vector<RestartRow> restart;
+  for (const int submits : {50, 200, 800}) {
+    const RestartRow row = MeasureRestart(submits, seed, /*reps=*/5);
+    restart.push_back(row);
+    std::printf("%8d %10lld %8lld %9.4fs %9.4fs %9.4fs\n", row.submits,
+                static_cast<long long>(row.wal_bytes), static_cast<long long>(row.ops_replayed),
+                row.open_s_median, row.open_s_min, row.open_s_max);
+  }
+
   if (flags.Has("json")) {
     const std::string path = flags.GetString("json", "");
     if (path.empty()) {
       std::fprintf(stderr, "error: --json requires a path\n");
       return 2;
     }
-    if (!WriteJson(path, rows, fleet)) {
+    if (!WriteJson(path, rows, fleet, restart)) {
       return 1;
     }
   }

@@ -8,11 +8,13 @@ namespace {
 
 using Report = ExecutionReport;
 
-// Metric families, exported only when some added report carries them.
-enum Family : unsigned { kStaged = 1, kSpot = 2, kAsha = 4 };
+// Metric families, exported only when some added report carries them. A
+// staged report carries the planner family too: its fault-replan
+// evaluators' cache statistics.
+enum Family : unsigned { kStaged = 1, kSpot = 2, kAsha = 4, kPlanner = 8 };
 
 unsigned FamiliesOf(const Report& r) {
-  return (r.staged_metrics ? kStaged : 0u) | (r.spot_metrics ? kSpot : 0u) |
+  return (r.staged_metrics ? kStaged | kPlanner : 0u) | (r.spot_metrics ? kSpot : 0u) |
          (r.asha_metrics ? kAsha : 0u);
 }
 
@@ -51,14 +53,13 @@ constexpr Metric<int64_t> kCounters[] = {
      [](const Report& r) { return r.straggler_detection_syncs; }},
     {"executor.checkpoint_saves", kStaged, [](const Report& r) { return r.checkpoint_saves; }},
     {"executor.checkpoint_fetches", kStaged, [](const Report& r) { return r.checkpoint_fetches; }},
-    // The fault-replan evaluators' cache statistics.
-    {"planner.plan_evaluations", kStaged,
+    {"planner.plan_evaluations", kPlanner,
      [](const Report& r) { return r.planner_cache.plan_evaluations; }},
-    {"planner.plan_memo_hits", kStaged,
+    {"planner.plan_memo_hits", kPlanner,
      [](const Report& r) { return r.planner_cache.plan_memo_hits; }},
-    {"planner.stage_evaluations", kStaged,
+    {"planner.stage_evaluations", kPlanner,
      [](const Report& r) { return r.planner_cache.stage_evaluations; }},
-    {"planner.stage_cache_hits", kStaged,
+    {"planner.stage_cache_hits", kPlanner,
      [](const Report& r) { return r.planner_cache.stage_cache_hits; }},
     {"spot.preemption_warnings", kSpot,
      [](const Report& r) -> int64_t { return r.preemption_warnings; }},
@@ -88,8 +89,9 @@ constexpr Metric<double> kGauges[] = {
      [](const Report& r) { return r.realized_utilization; }},
     {"executor.checkpoint_gb_moved", kStaged,
      [](const Report& r) { return r.checkpoint_gb_moved; }},
-    {"planner.plan_hit_rate", kStaged, [](const Report& r) { return r.planner_cache.PlanHitRate(); }},
-    {"planner.stage_hit_rate", kStaged,
+    {"planner.plan_hit_rate", kPlanner,
+     [](const Report& r) { return r.planner_cache.PlanHitRate(); }},
+    {"planner.stage_hit_rate", kPlanner,
      [](const Report& r) { return r.planner_cache.StageHitRate(); }},
     {"spot.rework_seconds", kSpot, [](const Report& r) { return r.spot_rework_seconds; }},
     {"spot.savings_dollars", kSpot, [](const Report& r) { return r.spot_savings.dollars(); }},
@@ -118,11 +120,13 @@ void ExportValues(const Metric<T> (&metrics)[N], const std::vector<T>& sums, uns
 
 }  // namespace
 
-JobMetricsSum::JobMetricsSum()
-    : counters_(std::size(kCounters), 0), gauges_(std::size(kGauges), 0.0) {}
+JobMetricsSum::JobMetricsSum(bool planner_metrics)
+    : kept_(planner_metrics ? ~0u : ~unsigned{kPlanner}),
+      counters_(std::size(kCounters), 0),
+      gauges_(std::size(kGauges), 0.0) {}
 
 void JobMetricsSum::Add(const ExecutionReport& report) {
-  const unsigned families = FamiliesOf(report);
+  const unsigned families = FamiliesOf(report) & kept_;
   families_ |= families;
   AddValues(kCounters, report, families, &counters_);
   AddValues(kGauges, report, families, &gauges_);

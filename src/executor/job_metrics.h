@@ -21,7 +21,10 @@ namespace rubberband {
 
 class JobMetricsSum {
  public:
-  JobMetricsSum();
+  // Without `planner_metrics` the sum leaves out the planner.* family (the
+  // fault-replan evaluators' cache statistics): a tuning service counts
+  // those into its own planner.* totals, beside its admission evaluators'.
+  explicit JobMetricsSum(bool planner_metrics = true);
 
   // Adds the values `report` exports (its *_metrics families) and the
   // histograms in report.metrics, which on a shared cluster hold only the
@@ -34,6 +37,7 @@ class JobMetricsSum {
   void ExportTo(MetricsSnapshot* snapshot) const;
 
  private:
+  unsigned kept_;  // families Add sums
   unsigned families_ = 0;
   // By position in the export tables (job_metrics.cc).
   std::vector<int64_t> counters_;

@@ -72,6 +72,13 @@ struct PlannerCacheStats {
     stage_cache_hits += other.stage_cache_hits;
     return *this;
   }
+  PlannerCacheStats& operator-=(const PlannerCacheStats& other) {
+    plan_evaluations -= other.plan_evaluations;
+    plan_memo_hits -= other.plan_memo_hits;
+    stage_evaluations -= other.stage_evaluations;
+    stage_cache_hits -= other.stage_cache_hits;
+    return *this;
+  }
 };
 
 // Exports accumulated cache statistics into a metrics scope (typically

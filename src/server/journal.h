@@ -17,6 +17,18 @@
 //     That is not a crash artifact; recovery refuses with an error naming
 //     the byte offset rather than replaying a different history.
 //
+// The records (written by ServiceRunner, service_runner.cc), one JSON
+// object each:
+//
+//   - header: the WAL version and the service's config fingerprint;
+//   - submit / cancel: an applied op with its simulation time, tenant,
+//     params, idempotency key and response; a submit whose arrival it
+//     decided by planning also carries the admission `decision`, which
+//     recovery applies instead of planning again;
+//   - clock: a simulation time the live run reached (settled completions
+//     or a drain);
+//   - outcome: a completed job's digest (JCT, cost), verified on replay.
+//
 // Fsync policy trades durability for append latency: `always` fsyncs every
 // record before the append returns (a kill -9 loses at most the in-flight
 // unacknowledged record), `batch` fsyncs every N records (a machine crash

@@ -1,5 +1,6 @@
 #include "src/server/service_runner.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -182,7 +183,22 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
     if (!ParseJobRequest(record.at("params"), &job, &error)) {
       throw std::runtime_error(where + ": corrupt journal submit: " + error);
     }
-    service.SubmitLive(std::move(job));
+    // A journaled admission decision is authoritative: the arrival applies
+    // it instead of planning again.
+    std::optional<AdmissionDecision> decision;
+    if (record.Has("decision")) {
+      decision.emplace();
+      if (!AdmissionDecision::FromJson(record.at("decision"), &*decision, &error)) {
+        throw std::runtime_error(where + ": corrupt journal decision: " + error);
+      }
+      try {
+        decision->planned.plan.Validate(job.spec.num_stages());
+      } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(where + ": corrupt journal decision: " + e.what());
+      }
+      ++wal_stats_.decisions_applied;
+    }
+    service.SubmitLive(std::move(job), std::move(decision));
   } else {
     const size_t index = service.FindJob(record.at("params").at("job").string());
     if (index == TuningService::kNoJob) {
@@ -200,13 +216,17 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
 }
 
 void ServiceRunner::CommitOp(const char* kind, Seconds at, const Request& request,
-                             JsonValue params, const JsonValue& response) {
+                             JsonValue params, const JsonValue& response,
+                             const AdmissionDecision* decision) {
   if (wal_.is_open()) {
     JsonValue entry = JsonValue::MakeObject();
     entry.Set("kind", Str(kind));
     entry.Set("at_s", Num(at));
     entry.Set("tenant", Str(request.tenant));
     entry.Set("params", std::move(params));
+    if (decision != nullptr) {
+      entry.Set("decision", decision->ToJson());
+    }
     if (!request.idem.empty()) {
       entry.Set("idem", Str(request.idem));
     }
@@ -348,7 +368,12 @@ OpResult ServiceRunner::HandleSubmit(const Request& request) {
   result.Set("index", Num(static_cast<double>(index)));
   result.Set("now_s", Num(service_->now()));
   // Journal op + decision (write-ahead of the acknowledgement), then reply.
-  CommitOp("submit", at, request, std::move(params), result);
+  // An arrival this op decided by planning also journals the plan, so
+  // recovery applies it instead of planning again.
+  const std::optional<AdmissionDecision> decision =
+      wal_.is_open() ? service_->ArrivalDecision(index) : std::nullopt;
+  CommitOp("submit", at, request, std::move(params), result,
+           decision.has_value() ? &*decision : nullptr);
   return OpResult::Ok(std::move(result));
 }
 

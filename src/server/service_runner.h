@@ -7,16 +7,23 @@
 // threaded (its determinism contract) while the network side scales with
 // connections.
 //
-// Restartability is event sourcing. A live service run is a pure function
-// of (seed, config, the stamped operation sequence): every state-changing
-// op (submit, cancel) is appended to the write-ahead log (`journal.{h,cc}`)
-// with the simulation time at which it was applied, and (per fsync policy)
-// fsynced BEFORE its response leaves the server. Open() resumes from that
-// log after any stop: a kill -9 at any byte (torn tails are truncated) or a
-// drain, which pins its clock in the log so the resume continues at the
-// drained time. Completed-outcome digest records interleaved in the log
-// verify the replay reproduced history bit-identically or the resume
-// refuses.
+// Restartability is event sourcing. Every state-changing op (submit,
+// cancel) is appended to the write-ahead log (`journal.{h,cc}`) with the
+// simulation time at which it was applied, and (per fsync policy) fsynced
+// BEFORE its response leaves the server. A submit whose arrival the op
+// decided by planning also carries that AdmissionDecision (the plan, its
+// estimate and the planner-cache counters it cost), unless the job queued.
+// A live run is a pure function of (seed, config, the stamped operation
+// sequence, those decisions): Open() replays the ops and applies each
+// journaled decision instead of planning it again, so per-job mode
+// recovers byte-identical reports, planner line included. In fleet mode
+// (ServiceConfig::share_admission_evaluator) a shape planned before the
+// stop and again after it (a new deadline, or a dequeue) plans from a cold
+// shared evaluator, so only its planner.* counters can read higher. Open()
+// resumes after any stop: a kill -9 at any byte (torn tails are truncated)
+// or a drain, which pins its clock in the log so the resume continues at
+// the drained time. Completed-outcome digest records interleaved in the
+// log verify the replay reproduced history or the resume refuses.
 
 #ifndef SRC_SERVER_SERVICE_RUNNER_H_
 #define SRC_SERVER_SERVICE_RUNNER_H_
@@ -65,6 +72,8 @@ struct WalRecoveryStats {
   bool recovered = false;      // true when Open() replayed a non-empty WAL
   int64_t ops_replayed = 0;
   int64_t outcomes_verified = 0;
+  // Journaled admission decisions recovery applied instead of planning.
+  int64_t decisions_applied = 0;
   bool torn_tail_truncated = false;
   uint64_t torn_offset = 0;
 };
@@ -80,9 +89,11 @@ class ServiceRunner {
 
   // Resumes from the WAL at options.wal_path when it exists and holds
   // records; otherwise starts fresh (identical to the constructor). Throws
-  // std::runtime_error, naming the byte offset where possible, on a corrupt
-  // journal, a config-fingerprint mismatch, or a replay that diverges from
-  // the journaled outcome digests.
+  // std::runtime_error, naming the byte offset or record where possible, on
+  // a corrupt journal (a journaled decision included: wrong stage count,
+  // a GPU count below 1, a missing or non-finite field), a config-
+  // fingerprint mismatch, or a replay that diverges from the journaled
+  // outcome digests.
   static std::unique_ptr<ServiceRunner> Open(const RunnerOptions& options);
 
   // Dispatches one request (submit / cancel / status / report / metrics /
@@ -120,12 +131,13 @@ class ServiceRunner {
 
   // Records one applied op — `kind` "submit"/"cancel", applied at
   // simulation time `at`, with its journal-form `params` (submit params or
-  // {"job": name}) and decision `response` — in the idempotency index and,
-  // when configured, the WAL (append + fsync per policy). Called after the
-  // op applied but before its response leaves Handle(): the WAL write is
+  // {"job": name}), its `response` and, for a submit whose arrival it
+  // planned, the admission `decision` — in the idempotency index and, when
+  // configured, the WAL (append + fsync per policy). Called after the op
+  // applied but before its response leaves Handle(): the WAL write is
   // ahead of the acknowledgement, which is the durability contract.
   void CommitOp(const char* kind, Seconds at, const Request& request, JsonValue params,
-                const JsonValue& response);
+                const JsonValue& response, const AdmissionDecision* decision = nullptr);
   // Appends clock + outcome digest records for newly completed jobs. With
   // `pin_clock` the clock record is written even when no job completed.
   void JournalNewOutcomes(bool pin_clock = false);

@@ -1,6 +1,7 @@
 #include "src/service/tuning_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -31,6 +32,138 @@ std::string ToString(JobState state) {
   return "UNKNOWN";
 }
 
+namespace {
+
+// The cache counters and their JSON names, for AdmissionDecision.
+constexpr std::pair<const char*, int64_t PlannerCacheStats::*> kCacheFields[] = {
+    {"plan_evaluations", &PlannerCacheStats::plan_evaluations},
+    {"plan_memo_hits", &PlannerCacheStats::plan_memo_hits},
+    {"stage_evaluations", &PlannerCacheStats::stage_evaluations},
+    {"stage_cache_hits", &PlannerCacheStats::stage_cache_hits},
+};
+
+JsonValue Num(double value) { return JsonValue::MakeNumber(value); }
+JsonValue Micros(Money money) { return Num(static_cast<double>(money.micros())); }
+
+// Reads `value`, the decision's field `name`, as a finite number;
+// `integral` also refuses fractions and magnitudes past 2^53, where
+// doubles stop holding every integer.
+bool ReadNumber(const JsonValue& value, const std::string& name, bool integral, double* out,
+                std::string* error) {
+  const double number = value.number();
+  if (!value.is_number() || !std::isfinite(number) ||
+      (integral && (number != std::floor(number) || std::fabs(number) > 0x1p53))) {
+    *error = "decision field '" + name + "' is missing or not a finite " +
+             (integral ? "integer" : "number");
+    return false;
+  }
+  *out = number;
+  return true;
+}
+
+// The fleet-mode shared-evaluator key of a job's shape. ASHA jobs get their
+// own key space: an envelope shaped like a plain SHA job must not inherit
+// its memoized greedy plan.
+std::string ShapeKey(const JobRequest& request) {
+  return (request.asha != nullptr ? std::string("asha|") : std::string()) +
+         request.workload.name + "|" + request.spec.ToString();
+}
+
+// The fleet-mode arrival-plan memo key of a shape and a deadline.
+std::string ArrivalPlanKey(const std::string& shape_key, Seconds deadline) {
+  return shape_key + "|" + std::to_string(deadline);
+}
+
+// `json[key]`, or null when `json` is no object or lacks `key`.
+const JsonValue& Field(const JsonValue& json, const std::string& key) {
+  static const JsonValue kMissing;
+  return json.is_object() && json.Has(key) ? json.at(key) : kMissing;
+}
+
+}  // namespace
+
+JsonValue AdmissionDecision::ToJson() const {
+  JsonValue plan = JsonValue::MakeArray();
+  for (const int gpus : planned.plan.stage_gpus()) {
+    plan.Append(Num(gpus));
+  }
+  const PlanEstimate& estimate = planned.estimate;
+  JsonValue json = JsonValue::MakeObject();
+  json.Set("plan", std::move(plan));
+  json.Set("jct_mean_s", Num(estimate.jct_mean));
+  json.Set("jct_stddev_s", Num(estimate.jct_stddev));
+  json.Set("cost_mean_micros", Micros(estimate.cost_mean));
+  json.Set("compute_cost_mean_micros", Micros(estimate.compute_cost_mean));
+  json.Set("data_cost_mean_micros", Micros(estimate.data_cost_mean));
+  json.Set("cost_stddev_dollars", Num(estimate.cost_stddev_dollars));
+  json.Set("planner", JsonValue::MakeString(planned.planner));
+  json.Set("feasible", JsonValue::MakeBool(planned.feasible));
+  JsonValue counters = JsonValue::MakeObject();
+  for (const auto& [name, field] : kCacheFields) {
+    counters.Set(name, Num(static_cast<double>(cache.*field)));
+  }
+  json.Set("cache", std::move(counters));
+  return json;
+}
+
+bool AdmissionDecision::FromJson(const JsonValue& json, AdmissionDecision* decision,
+                                 std::string* error) {
+  if (!Field(json, "plan").is_array()) {
+    *error = "decision field 'plan' is missing or not an array";
+    return false;
+  }
+  AdmissionDecision parsed;
+  double value = 0.0;
+  std::vector<int> stage_gpus;
+  for (const JsonValue& gpus : json.at("plan").array()) {
+    if (!ReadNumber(gpus, "plan", /*integral=*/true, &value, error)) {
+      return false;
+    }
+    if (std::fabs(value) > std::numeric_limits<int>::max()) {
+      *error = "decision field 'plan' holds a GPU count past the int range";
+      return false;
+    }
+    stage_gpus.push_back(static_cast<int>(value));
+  }
+  parsed.planned.plan = AllocationPlan(std::move(stage_gpus));
+  PlanEstimate& estimate = parsed.planned.estimate;
+  const std::pair<const char*, double*> doubles[] = {
+      {"jct_mean_s", &estimate.jct_mean},
+      {"jct_stddev_s", &estimate.jct_stddev},
+      {"cost_stddev_dollars", &estimate.cost_stddev_dollars}};
+  for (const auto& [key, field] : doubles) {
+    if (!ReadNumber(Field(json, key), key, /*integral=*/false, field, error)) {
+      return false;
+    }
+  }
+  const std::pair<const char*, Money*> money[] = {
+      {"cost_mean_micros", &estimate.cost_mean},
+      {"compute_cost_mean_micros", &estimate.compute_cost_mean},
+      {"data_cost_mean_micros", &estimate.data_cost_mean}};
+  for (const auto& [key, field] : money) {
+    if (!ReadNumber(Field(json, key), key, /*integral=*/true, &value, error)) {
+      return false;
+    }
+    *field = Money::FromMicros(static_cast<int64_t>(value));
+  }
+  for (const auto& [key, field] : kCacheFields) {
+    if (!ReadNumber(Field(Field(json, "cache"), key), key, /*integral=*/true, &value, error)) {
+      return false;
+    }
+    parsed.cache.*field = static_cast<int64_t>(value);
+  }
+  const JsonValue& planner = Field(json, "planner");
+  const JsonValue& feasible = Field(json, "feasible");
+  if (!planner.is_string() || !feasible.is_bool()) {
+    *error = "decision fields 'planner' and 'feasible' must be a string and a bool";
+    return false;
+  }
+  parsed.planned.planner = planner.string();
+  parsed.planned.feasible = feasible.bool_value();
+  *decision = std::move(parsed);
+  return true;
+}
+
 TuningService::TuningService(const ServiceConfig& config)
     : config_(config), sim_(config.seed), svc_(&metrics_, "service"),
       cloud_(sim_, config.cloud, &metrics_), pool_(sim_, cloud_, config.warm_pool, &metrics_) {
@@ -46,6 +179,9 @@ TuningService::TuningService(const ServiceConfig& config)
   h_.cancelled = svc_.GetCounter("jobs_cancelled");
   h_.deadline_misses = svc_.GetCounter("deadline_misses");
   h_.queue_wait = svc_.GetHistogram("queue_wait_seconds");
+  // planner.* exists from the start, so MetricsNow before the first report
+  // reads zeros rather than nothing.
+  PublishCacheStats(PlannerCacheStats{}, metrics_.scope("planner"));
   heap_fallback_baseline_ = EventCallback::HeapConstructions();
 }
 
@@ -137,31 +273,36 @@ std::unique_ptr<PlanEvaluator> TuningService::MakeEvaluator(const JobRequest& re
   return std::make_unique<PlanEvaluator>(inputs, options, std::move(pool));
 }
 
-PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
+AdmissionDecision TuningService::PlanFor(Job& job, Seconds time_left, bool* memo_hit) {
   // ASHA jobs plan their envelope *statically*: the engine executes on a
   // fixed worker pool whose size the plan's peak chooses, so an elastic
   // per-stage schedule would promise scaling the engine never does.
   const bool asha = job.request.asha != nullptr;
+  AdmissionDecision decision;
+  if (memo_hit != nullptr) {
+    *memo_hit = false;
+  }
   if (config_.share_admission_evaluator) {
     // Fleet mode: all jobs with this (workload, spec) shape plan through
     // one evaluator — the first arrival pays the stage simulations, every
     // later arrival and queued-job re-plan is memo hits. Deadlines differ
     // per call, but the plan memo is keyed by allocation, not deadline, so
     // the caches survive set_deadline (the same property the per-job
-    // dequeue re-plan has always relied on). ASHA jobs get their own key
-    // space: an envelope shaped like a plain SHA job must not inherit its
-    // memoized greedy plan.
-    const std::string key = (asha ? std::string("asha|") : std::string()) +
-                            job.request.workload.name + "|" + job.request.spec.ToString();
+    // dequeue re-plan has always relied on).
+    const std::string key = ShapeKey(job.request);
     const bool at_arrival = time_left == job.request.deadline;
     std::string plan_key;
     if (at_arrival) {
       // Arrival-time planning is a pure function of (shape, deadline):
       // memoize the whole decision, not just the evaluator caches.
-      plan_key = key + "|" + std::to_string(time_left);
+      plan_key = ArrivalPlanKey(key, time_left);
       const auto cached = admission_plans_.find(plan_key);
       if (cached != admission_plans_.end()) {
-        return cached->second;
+        if (memo_hit != nullptr) {
+          *memo_hit = true;
+        }
+        decision.planned = cached->second;
+        return decision;
       }
     }
     auto it = shared_evaluators_.find(key);
@@ -169,12 +310,14 @@ PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
       it = shared_evaluators_.emplace(key, MakeEvaluator(job.request, time_left)).first;
     } else {
       it->second->set_deadline(time_left);
+      decision.cache -= it->second->stats();
     }
-    PlannedJob planned = asha ? PlanStatic(*it->second) : PlanGreedy(*it->second);
+    decision.planned = asha ? PlanStatic(*it->second) : PlanGreedy(*it->second);
+    decision.cache += it->second->stats();
     if (at_arrival) {
-      admission_plans_.emplace(std::move(plan_key), planned);
+      admission_plans_.emplace(std::move(plan_key), decision.planned);
     }
-    return planned;
+    return decision;
   }
   if (job.evaluator == nullptr) {
     job.evaluator = MakeEvaluator(job.request, time_left);
@@ -182,8 +325,11 @@ PlannedJob TuningService::PlanFor(Job& job, Seconds time_left) {
     // Re-plan (dequeue after queueing): only the deadline moved, so the
     // evaluator's caches stay valid and the search is mostly memo hits.
     job.evaluator->set_deadline(time_left);
+    decision.cache -= job.evaluator->stats();
   }
-  return asha ? PlanStatic(*job.evaluator) : PlanGreedy(*job.evaluator);
+  decision.planned = asha ? PlanStatic(*job.evaluator) : PlanGreedy(*job.evaluator);
+  decision.cache += job.evaluator->stats();
+  return decision;
 }
 
 void TuningService::RetireEvaluator(Job& job) {
@@ -201,7 +347,22 @@ void TuningService::OnArrival(size_t index) {
     return;  // withdrawn (live mode) before the arrival event fired
   }
   obs::Inc(h_.arrived);
-  job.planned = PlanFor(job, job.request.deadline);
+  if (job.journaled) {
+    // Recovery: the journal holds what planning decided here before; apply
+    // it, count its planning as done, and serve later same-shape arrivals
+    // from the memo exactly as the planned run did.
+    retired_cache_ += job.arrival_cache;
+    if (config_.share_admission_evaluator) {
+      admission_plans_.emplace(ArrivalPlanKey(ShapeKey(job.request), job.request.deadline),
+                               job.planned);
+    }
+  } else {
+    bool memo_hit = false;
+    AdmissionDecision decision = PlanFor(job, job.request.deadline, &memo_hit);
+    job.planned = std::move(decision.planned);
+    job.arrival_cache = decision.cache;
+    job.arrival_journalable = !memo_hit;
+  }
   job.outcome.plan = job.planned.plan;
   if (!job.planned.feasible) {
     job.outcome.state = JobState::kRejectedInfeasible;
@@ -220,9 +381,18 @@ void TuningService::OnArrival(size_t index) {
     StartJob(index);
   } else {
     job.outcome.state = JobState::kQueued;
+    job.arrival_journalable = false;
     obs::Inc(h_.queued);
     queue_.push_back(index);
   }
+}
+
+std::optional<AdmissionDecision> TuningService::ArrivalDecision(size_t index) const {
+  const Job& job = jobs_.at(index);
+  if (!job.arrival_journalable) {
+    return std::nullopt;
+  }
+  return AdmissionDecision{job.planned, job.arrival_cache};
 }
 
 void TuningService::StartJob(size_t index) {
@@ -386,7 +556,7 @@ void TuningService::PumpQueue() {
     const size_t index = queue_.front();
     Job& job = jobs_[index];
     const Seconds time_left = job.outcome.deadline_at - sim_.now();
-    PlannedJob replanned = PlanFor(job, time_left);
+    PlannedJob replanned = PlanFor(job, time_left).planned;
     if (!replanned.feasible) {
       // Queueing consumed the job's slack; rejecting now is the service's
       // "never silently late" contract — the job is reported, not run.
@@ -512,7 +682,7 @@ void TuningService::StartLive() {
   InstallHandlers();
 }
 
-size_t TuningService::SubmitLive(JobRequest request) {
+size_t TuningService::SubmitLive(JobRequest request, std::optional<AdmissionDecision> decision) {
   if (!live_) {
     throw std::logic_error("TuningService::SubmitLive requires StartLive");
   }
@@ -521,6 +691,12 @@ size_t TuningService::SubmitLive(JobRequest request) {
   request.submit_at = std::max(request.submit_at, sim_.now());
   const size_t index = jobs_.size();
   Submit(std::move(request));
+  if (decision.has_value()) {
+    Job& job = jobs_[index];
+    job.planned = std::move(decision->planned);
+    job.arrival_cache = decision->cache;
+    job.journaled = true;
+  }
   ++arrivals_outstanding_;
   sim_.ScheduleAt(jobs_[index].request.submit_at, [this, index] { OnArrival(index); });
   return index;
@@ -699,10 +875,7 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
   // The registry counters accumulate, so repeated (live) reports publish
   // only what changed since the last publish.
   PlannerCacheStats cache_delta = report.planner_cache;
-  cache_delta.plan_evaluations -= published_cache_.plan_evaluations;
-  cache_delta.plan_memo_hits -= published_cache_.plan_memo_hits;
-  cache_delta.stage_evaluations -= published_cache_.stage_evaluations;
-  cache_delta.stage_cache_hits -= published_cache_.stage_cache_hits;
+  cache_delta -= published_cache_;
   PublishCacheStats(cache_delta, metrics_.scope("planner"));
   published_cache_ = report.planner_cache;
   report.metrics = metrics_.Snapshot();

@@ -27,6 +27,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "src/executor/executor.h"
 #include "src/executor/job_metrics.h"
 #include "src/model/profiler.h"
+#include "src/obs/json.h"
 #include "src/planner/evaluator.h"
 #include "src/planner/planner.h"
 #include "src/service/fair_share.h"
@@ -133,6 +135,21 @@ struct JobOutcome {
   // process (pid = job index + 1).
   ExecutionTrace trace;
   Timeline timeline;
+};
+
+// One admission decision as planning made it: the plan with its estimate,
+// and the planner-cache counters that planning added. The serving journal
+// stores it with the submit whose arrival it decided, so recovery applies
+// it instead of planning again (ServiceRunner::Open).
+struct AdmissionDecision {
+  PlannedJob planned;
+  PlannerCacheStats cache;
+
+  // Money as integer micros; doubles round-trip through the JSON writer.
+  JsonValue ToJson() const;
+  // Parses ToJson's form. Returns false with `*error` naming the field
+  // that is missing, mistyped or not finite.
+  static bool FromJson(const JsonValue& json, AdmissionDecision* decision, std::string* error);
 };
 
 struct ServiceConfig {
@@ -253,7 +270,10 @@ class TuningService {
   // simulation clock, and SnapshotReport works mid-flight. A live run is a
   // pure function of (seed, config, the stamped operation sequence), so a
   // journal of SubmitLive/CancelLive/AdvanceUntil calls replays
-  // bit-identically — the serving snapshot/restore contract.
+  // bit-identically — the serving snapshot/restore contract. A replay that
+  // hands SubmitLive the journaled arrival decisions reproduces the same
+  // run without planning them; in fleet mode only its planner-cache
+  // counters can read higher (see ServiceRunner).
 
   // Switches to live mode (mutually exclusive with Run). Call once, before
   // the first SubmitLive.
@@ -261,8 +281,11 @@ class TuningService {
 
   // Schedules one arrival at max(request.submit_at, now()) and returns the
   // job's index. The admission decision lands once AdvanceUntil passes the
-  // arrival time (same-tick submissions admit in submission order).
-  size_t SubmitLive(JobRequest request);
+  // arrival time (same-tick submissions admit in submission order). With a
+  // journaled `decision` (WAL recovery) the arrival applies it instead of
+  // planning: its counters count as planned, and in fleet mode it becomes
+  // the arrival-plan memo entry for the job's shape and deadline.
+  size_t SubmitLive(JobRequest request, std::optional<AdmissionDecision> decision = {});
 
   // Runs events up to `until` (capping work at `max_events` when nonzero;
   // an early stop still finishes the same-timestamp group) and returns the
@@ -286,6 +309,11 @@ class TuningService {
   const JobOutcome& outcome(size_t index) const { return jobs_.at(index).outcome; }
   const PlannedJob& planned(size_t index) const { return jobs_.at(index).planned; }
   const JobRequest& request(size_t index) const { return jobs_.at(index).request; }
+  // The job's arrival decision, for the journal: set only once the arrival
+  // was decided by planning (not by the fleet arrival-plan memo or a
+  // journaled decision) and the job did not queue. A queued job's dequeue
+  // re-plan reads the evaluator its arrival planning warmed.
+  std::optional<AdmissionDecision> ArrivalDecision(size_t index) const;
   // Current fair-share cap (recomputes lazily if membership changed).
   int share_cap(size_t index) {
     EnsureShares();
@@ -296,7 +324,8 @@ class TuningService {
   size_t FindJob(const std::string& name) const;
 
   // Fleet metrics right now: the service registry plus the fleet sum of
-  // every finished job.
+  // every finished job. planner.* reads as of the last report: a report
+  // publishes the planner-cache totals into the registry.
   MetricsSnapshot MetricsNow() const;
 
   // Interim (live) or final report; unsettled jobs are reported in their
@@ -318,6 +347,13 @@ class TuningService {
     // verbatim. RetireEvaluator then frees it and folds its stats into
     // retired_cache_.
     std::unique_ptr<PlanEvaluator> evaluator;
+    // The planner-cache counters of the arrival's decision: what planning
+    // it added, or what the journaled decision carries.
+    PlannerCacheStats arrival_cache;
+    // `planned` holds a journaled decision for OnArrival to apply.
+    bool journaled = false;
+    // The arrival was decided by planning and did not queue.
+    bool arrival_journalable = false;
     int share_cap = 0;  // current fair-share GPU cap
   };
 
@@ -353,7 +389,10 @@ class TuningService {
   void RouteWarning(InstanceId id);
   const ModelProfile& ProfileFor(const WorkloadSpec& workload);
   std::unique_ptr<PlanEvaluator> MakeEvaluator(const JobRequest& request, Seconds deadline);
-  PlannedJob PlanFor(Job& job, Seconds time_left);
+  // Plans `job` against `time_left`, returning the plan with the cache
+  // counters the planning added. `*memo_hit` (when given) reports whether
+  // the fleet arrival-plan memo served it without planning.
+  AdmissionDecision PlanFor(Job& job, Seconds time_left, bool* memo_hit = nullptr);
   void RetireEvaluator(Job& job);
   int ReservationLimit() const;
 
@@ -366,8 +405,10 @@ class TuningService {
   SimulatedCloud cloud_;
   WarmPool pool_;
   // Every finished job's report, added in completion order; the names are
-  // bound only when a report or MetricsNow exports the sum.
-  JobMetricsSum fleet_metrics_;
+  // bound only when a report or MetricsNow exports the sum. It leaves out
+  // the planner.* family: the executors' fault-replan statistics reach the
+  // registry's planner.* through retired_cache_ instead.
+  JobMetricsSum fleet_metrics_{/*planner_metrics=*/false};
   Timeline timeline_;
   std::vector<Job> jobs_;
   std::deque<size_t> queue_;
@@ -408,7 +449,8 @@ class TuningService {
   // EventCallback heap fallbacks at construction (the sim.* injection
   // reports this service's delta, not the process-wide total).
   int64_t heap_fallback_baseline_ = 0;
-  // Summed from retired job evaluators and finished executors.
+  // Summed from retired job evaluators, finished executors and applied
+  // journaled decisions.
   PlannerCacheStats retired_cache_;
   // Cache counters already pushed to the registry: repeated SnapshotReport
   // calls publish only the delta (the registry counters accumulate).

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -245,6 +246,25 @@ TEST(GoldenServiceMetrics, MixedFaultyFleet) {
 TEST(GoldenServiceMetrics, MixedFaultyFleetObserved) {
   CompareAgainstGolden(ServiceMetricsJson(MixedConfig(true), MixedTrace(), 2700.0),
                        "service_mixed_observe_metrics.json");
+}
+
+// Every planner.* metric of a fleet report is its planner-cache total, the
+// executors' fault-replan evaluators counted once (through the service's
+// totals, not again through each job's own metrics).
+TEST(ServiceMetrics, PlannerMetricsEqualTheReportsPlannerCache) {
+  TuningService service(MixedConfig(false));
+  for (const ExperimentRequest& request : MixedTrace()) {
+    service.SubmitExperiment(request);
+  }
+  const ServiceReport report = service.Run();
+  const PlannerCacheStats& cache = report.planner_cache;
+  const std::map<std::string, int64_t>& counters = report.metrics.counters;
+  EXPECT_EQ(counters.at("planner.plan_evaluations"), cache.plan_evaluations);
+  EXPECT_EQ(counters.at("planner.plan_memo_hits"), cache.plan_memo_hits);
+  EXPECT_EQ(counters.at("planner.stage_evaluations"), cache.stage_evaluations);
+  EXPECT_EQ(counters.at("planner.stage_cache_hits"), cache.stage_cache_hits);
+  EXPECT_EQ(report.metrics.gauges.at("planner.plan_hit_rate"), cache.PlanHitRate());
+  EXPECT_EQ(report.metrics.gauges.at("planner.stage_hit_rate"), cache.StageHitRate());
 }
 
 }  // namespace

@@ -379,6 +379,353 @@ TEST(WalRecovery, RefusesAConfigMismatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Journaled admission decisions: a submit whose arrival it planned carries
+// the decision, and recovery applies it instead of planning again.
+
+// The journal's records, parsed; the header first.
+std::vector<JsonValue> WalRecords(const std::string& path) {
+  WalReadResult wal;
+  std::string error;
+  EXPECT_TRUE(ReadWal(path, &wal, &error)) << error;
+  std::vector<JsonValue> records;
+  for (const std::string& record : wal.records) {
+    records.push_back(JsonValue::Parse(record));
+  }
+  return records;
+}
+
+void WriteWalRecords(const std::string& path, const std::vector<JsonValue>& records) {
+  WalWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Create(path, WalOptions{}, &error)) << error;
+  for (const JsonValue& record : records) {
+    ASSERT_TRUE(writer.Append(record.ToJson(), &error)) << error;
+  }
+  writer.Close();
+}
+
+int64_t JournaledDecisions(const std::string& path) {
+  int64_t decisions = 0;
+  for (const JsonValue& record : WalRecords(path)) {
+    decisions += record.Has("decision") ? 1 : 0;
+  }
+  return decisions;
+}
+
+// Index of the submit record of job `name` in `records`.
+size_t SubmitRecord(const std::vector<JsonValue>& records, const std::string& name) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].at("kind").string() == "submit" &&
+        records[i].at("params").at("name").string() == name) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no submit record for " << name;
+  return 0;
+}
+
+// Per-job mode under provisioning, init and checkpoint failures and crashes,
+// with fault re-planning on.
+RunnerOptions FaultyWalRunner(const std::string& wal_path) {
+  RunnerOptions options = WalRunner(wal_path, /*seed=*/23);
+  options.service.capacity_gpus = 8;
+  options.service.replan_on_faults = true;
+  FaultProfile& fault = options.service.cloud.fault;
+  fault.provision_failure_rate = 0.2;
+  fault.init_failure_rate = 0.05;
+  fault.checkpoint_failure_rate = 0.05;
+  fault.mtbf = 3600.0;
+  return options;
+}
+
+// One front-door op at an absolute simulation time.
+struct TimedOp {
+  double at = 0.0;
+  std::string method;
+  JsonValue params;
+};
+
+JsonValue ShapedSubmit(const std::string& name, int trials, int max_iters, double deadline_s) {
+  JsonValue params = SubmitParams(name);
+  params.Set("trials", JsonValue::MakeNumber(trials));
+  params.Set("max_iters", JsonValue::MakeNumber(max_iters));
+  params.Set("deadline_s", JsonValue::MakeNumber(deadline_s));
+  return params;
+}
+
+// Runs (two with deadlines a fault can break), rejects for either reason,
+// queues (b and c are dequeued later, big2 is cancelled), and one
+// future-dated arrival.
+std::vector<TimedOp> MixedOps() {
+  JsonValue costly = ShapedSubmit("costly", 8, 8, 36'000.0);
+  costly.Set("budget_dollars", JsonValue::MakeNumber(0.01));
+  JsonValue later = ShapedSubmit("later", 4, 4, 36'000.0);
+  later.Set("submit_at_s", JsonValue::MakeNumber(2'000.0));
+  JsonValue cancel = JsonValue::MakeObject();
+  cancel.Set("job", JsonValue::MakeString("big2"));
+  return {
+      {0.0, "submit", ShapedSubmit("a", 8, 8, 900.0)},
+      {0.0, "submit", ShapedSubmit("tight", 16, 16, 60.0)},
+      {30.0, "submit", costly},
+      {60.0, "submit", ShapedSubmit("big1", 16, 8, 1'800.0)},
+      {90.0, "submit", ShapedSubmit("big2", 16, 6, 36'000.0)},
+      {120.0, "cancel", cancel},
+      {150.0, "submit", later},
+      {600.0, "submit", ShapedSubmit("b", 4, 4, 36'000.0)},
+      {900.0, "submit", ShapedSubmit("c", 8, 6, 36'000.0)},
+  };
+}
+
+// Advances `runner` to the absolute time `at` (a recovered runner's clock
+// stands at its last journaled op, not where the killed one stood).
+void AdvanceTo(ServiceRunner& runner, double at) {
+  const double now = runner.service().now();
+  if (at > now) {
+    runner.Handle(Req("advance", AdvanceParams(at - now)));
+  }
+}
+
+void ApplyOps(ServiceRunner& runner, const std::vector<TimedOp>& ops, size_t begin,
+              size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    AdvanceTo(runner, ops[i].at);
+    const OpResult result = runner.Handle(Req(ops[i].method, ops[i].params));
+    ASSERT_TRUE(result.ok) << ops[i].method << " " << i << ": " << result.message;
+  }
+}
+
+std::string ControlReport(const RunnerOptions& options, const std::vector<TimedOp>& ops) {
+  ServiceRunner control(options);
+  ApplyOps(control, ops, 0, ops.size());
+  return FinalReportText(control);
+}
+
+TEST(WalRecovery, JournaledDecisionsResumeBitIdenticalAfterAKillAfterEveryOp) {
+  const std::vector<TimedOp> ops = MixedOps();
+  ServiceRunner control(FaultyWalRunner(""));
+  ApplyOps(control, ops, 0, ops.size());
+  const std::string control_report = FinalReportText(control);
+  // The trace covers what it claims to.
+  const TuningService& service = control.service();
+  const auto state = [&](const std::string& name) {
+    return service.outcome(service.FindJob(name)).state;
+  };
+  EXPECT_EQ(state("tight"), JobState::kRejectedInfeasible);
+  EXPECT_EQ(state("costly"), JobState::kRejectedOverBudget);
+  EXPECT_EQ(state("big2"), JobState::kCancelled);
+  EXPECT_EQ(state("later"), JobState::kCompleted);
+  EXPECT_EQ(state("big1"), JobState::kCompleted);
+  EXPECT_GT(service.outcome(service.FindJob("b")).queue_wait, 0.0);
+  EXPECT_GT(service.outcome(service.FindJob("later")).submitted_at, 1'000.0);
+  int replans = 0;
+  for (size_t i = 0; i < service.num_jobs(); ++i) {
+    replans += service.outcome(i).replans;
+  }
+  EXPECT_GT(replans, 0);
+
+  const std::string wal = TempPath("wal_decisions_every_op.wal");
+  for (size_t kill_after = 1; kill_after <= ops.size(); ++kill_after) {
+    auto victim = std::make_unique<ServiceRunner>(FaultyWalRunner(wal));
+    ApplyOps(*victim, ops, 0, kill_after);
+    victim->AbandonWal();
+    victim.reset();
+    const int64_t journaled = JournaledDecisions(wal);
+
+    std::unique_ptr<ServiceRunner> resumed = ServiceRunner::Open(FaultyWalRunner(wal));
+    EXPECT_EQ(resumed->wal_stats().decisions_applied, journaled) << "kill after op " << kill_after;
+    ApplyOps(*resumed, ops, kill_after, ops.size());
+    EXPECT_EQ(FinalReportText(*resumed), control_report) << "kill after op " << kill_after;
+  }
+  // Decided by planning at submit: a, tight, costly, big1. Queued (big2,
+  // b, c) and future-dated (later) submits carry none.
+  auto whole = std::make_unique<ServiceRunner>(FaultyWalRunner(wal));
+  ApplyOps(*whole, ops, 0, ops.size());
+  whole->AbandonWal();
+  whole.reset();
+  const std::vector<JsonValue> records = WalRecords(wal);
+  for (const char* name : {"a", "tight", "costly", "big1"}) {
+    EXPECT_TRUE(records[SubmitRecord(records, name)].Has("decision")) << name;
+  }
+  for (const char* name : {"big2", "later", "b", "c"}) {
+    EXPECT_FALSE(records[SubmitRecord(records, name)].Has("decision")) << name;
+  }
+}
+
+TEST(WalRecovery, AJournalWithoutDecisionsRecoversToTheSameReport) {
+  const std::vector<TimedOp> ops = MixedOps();
+  const size_t kill_after = ops.size() - 1;
+  const std::string wal = TempPath("wal_decisions_stripped.wal");
+  auto victim = std::make_unique<ServiceRunner>(FaultyWalRunner(wal));
+  ApplyOps(*victim, ops, 0, kill_after);
+  victim->AbandonWal();
+  victim.reset();
+
+  // The journal as code before journaled decisions wrote it.
+  std::vector<JsonValue> records = WalRecords(wal);
+  for (JsonValue& record : records) {
+    JsonValue stripped = JsonValue::MakeObject();
+    for (const auto& [key, value] : record.object()) {
+      if (key != "decision") {
+        stripped.Set(key, value);
+      }
+    }
+    record = std::move(stripped);
+  }
+  WriteWalRecords(wal, records);
+  ASSERT_EQ(JournaledDecisions(wal), 0);
+
+  std::unique_ptr<ServiceRunner> resumed = ServiceRunner::Open(FaultyWalRunner(wal));
+  EXPECT_EQ(resumed->wal_stats().decisions_applied, 0);
+  ApplyOps(*resumed, ops, kill_after, ops.size());
+  EXPECT_EQ(FinalReportText(*resumed), ControlReport(FaultyWalRunner(""), ops));
+}
+
+TEST(WalRecovery, ATamperedDecisionIsRefusedByTheJobsOutcomeDigest) {
+  const std::string wal = TempPath("wal_decision_tampered.wal");
+  auto victim = std::make_unique<ServiceRunner>(WalRunner(wal));
+  victim->Handle(Req("submit", SubmitParams("exp1")));
+  RunToQuiescence(*victim);  // exp1 completes: its outcome digest is journaled
+  victim->AbandonWal();
+  victim.reset();
+
+  // Same stage count, valid GPU counts, a different plan.
+  std::vector<JsonValue> records = WalRecords(wal);
+  JsonValue& decision = records[SubmitRecord(records, "exp1")];
+  ASSERT_TRUE(decision.Has("decision"));
+  JsonValue tampered = decision.at("decision");
+  JsonValue plan = JsonValue::MakeArray();
+  for (size_t i = 0; i < tampered.at("plan").size(); ++i) {
+    plan.Append(JsonValue::MakeNumber(1));
+  }
+  ASSERT_NE(plan, tampered.at("plan"));
+  tampered.Set("plan", std::move(plan));
+  decision.Set("decision", std::move(tampered));
+  WriteWalRecords(wal, records);
+
+  try {
+    ServiceRunner::Open(WalRunner(wal));
+    FAIL() << "a tampered decision must not resume";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("replay diverged on job 'exp1'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WalRecovery, AMalformedDecisionIsRefusedNamingTheRecord) {
+  const std::string master = TempPath("wal_decision_master.wal");
+  auto victim = std::make_unique<ServiceRunner>(WalRunner(master));
+  victim->Handle(Req("submit", SubmitParams("exp1")));
+  victim->AbandonWal();
+  victim.reset();
+  const std::vector<JsonValue> records = WalRecords(master);
+  const size_t index = SubmitRecord(records, "exp1");
+  ASSERT_TRUE(records[index].Has("decision"));
+  const JsonValue& good = records[index].at("decision");
+
+  JsonValue extra_stage = good;
+  JsonValue longer = good.at("plan");
+  longer.Append(JsonValue::MakeNumber(4));
+  extra_stage.Set("plan", std::move(longer));
+  JsonValue zero_gpus = good;
+  JsonValue zeroed = JsonValue::MakeArray();
+  for (size_t i = 0; i < good.at("plan").size(); ++i) {
+    zeroed.Append(JsonValue::MakeNumber(i == 0 ? 0 : 4));
+  }
+  zero_gpus.Set("plan", std::move(zeroed));
+  JsonValue not_a_number = good;
+  not_a_number.Set("jct_mean_s", JsonValue::MakeString("inf"));
+  JsonValue no_counters = good;
+  no_counters.Set("cache", JsonValue::MakeObject());
+
+  const std::string wal = TempPath("wal_decision_malformed.wal");
+  const std::string where = "wal record " + std::to_string(index);
+  for (const JsonValue& bad : {extra_stage, zero_gpus, not_a_number, no_counters}) {
+    std::vector<JsonValue> edited = records;
+    edited[index].Set("decision", bad);
+    WriteWalRecords(wal, edited);
+    try {
+      ServiceRunner::Open(WalRunner(wal));
+      ADD_FAILURE() << "malformed decision resumed: " << bad.ToJson();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where + ": corrupt journal decision"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Fleet mode (shared admission evaluators, the arrival-plan memo): kills
+// a run of repeated shapes (memo hits, journaled without a decision) and
+// distinct ones after half its submits, resumes it, and returns the
+// recovered and the uninterrupted final reports.
+std::pair<ServiceReport, ServiceReport> FleetRecovery(int capacity_gpus, const std::string& wal) {
+  const auto fleet = [capacity_gpus](const std::string& wal_path) {
+    RunnerOptions options = WalRunner(wal_path, /*seed=*/29);
+    options.service.capacity_gpus = capacity_gpus;
+    options.service.share_admission_evaluator = true;
+    return options;
+  };
+  std::vector<TimedOp> ops;
+  for (int i = 0; i < 12; ++i) {
+    const int trials = i % 3 == 0 ? 16 : 4 + 4 * (i % 2);
+    ops.push_back({40.0 * i, "submit",
+                   ShapedSubmit("f" + std::to_string(i), trials, 4 + i % 4, 36'000.0)});
+  }
+  ServiceRunner control(fleet(""));
+  ApplyOps(control, ops, 0, ops.size());
+  RunToQuiescence(control);
+
+  const size_t kill_after = ops.size() / 2;
+  auto victim = std::make_unique<ServiceRunner>(fleet(wal));
+  ApplyOps(*victim, ops, 0, kill_after);
+  victim->AbandonWal();
+  victim.reset();
+  const int64_t journaled = JournaledDecisions(wal);
+  EXPECT_GT(journaled, 0);
+  EXPECT_LT(journaled, static_cast<int64_t>(kill_after));  // memo hits carry none
+
+  std::unique_ptr<ServiceRunner> resumed = ServiceRunner::Open(fleet(wal));
+  EXPECT_EQ(resumed->wal_stats().decisions_applied, journaled);
+  ApplyOps(*resumed, ops, kill_after, ops.size());
+  RunToQuiescence(*resumed);
+  return {resumed->service().SnapshotReport(), control.service().SnapshotReport()};
+}
+
+TEST(WalRecovery, FleetModeRecoveryDiffersOnlyInPlannerCounters) {
+  // 16 GPUs: jobs queue, and a dequeue re-plans a shape from a cold
+  // shared evaluator, so only planner.* may differ.
+  const auto [actual, expected] = FleetRecovery(16, TempPath("wal_decisions_fleet.wal"));
+  ASSERT_EQ(actual.jobs.size(), expected.jobs.size());
+  for (size_t i = 0; i < actual.jobs.size(); ++i) {
+    EXPECT_EQ(actual.jobs[i].state, expected.jobs[i].state) << i;
+    EXPECT_EQ(actual.jobs[i].plan, expected.jobs[i].plan) << i;
+    EXPECT_EQ(actual.jobs[i].jct, expected.jobs[i].jct) << i;
+    EXPECT_EQ(actual.jobs[i].cost, expected.jobs[i].cost) << i;
+  }
+  const auto without_planner = [](auto values) {
+    std::erase_if(values, [](const auto& entry) { return entry.first.rfind("planner.", 0) == 0; });
+    return values;
+  };
+  EXPECT_EQ(without_planner(actual.metrics.counters), without_planner(expected.metrics.counters));
+  EXPECT_EQ(without_planner(actual.metrics.gauges), without_planner(expected.metrics.gauges));
+  // A cold evaluator can only add planning work.
+  EXPECT_GE(actual.planner_cache.plan_evaluations, expected.planner_cache.plan_evaluations);
+  EXPECT_GE(actual.planner_cache.stage_evaluations, expected.planner_cache.stage_evaluations);
+}
+
+TEST(WalRecovery, FleetModeRecoveryWithoutRePlansKeepsEveryMetric) {
+  // 256 GPUs: nothing queues, and no shape planned before the kill is
+  // planned again after it. Applied decisions seed the arrival-plan memo,
+  // so every later same-shape arrival stays a memo hit and even the
+  // planner counters match.
+  const auto [actual, expected] = FleetRecovery(256, TempPath("wal_decisions_fleet_wide.wal"));
+  EXPECT_EQ(actual.metrics.counters.at("service.jobs_queued"), 0);
+  EXPECT_EQ(actual.metrics.ToJson(), expected.metrics.ToJson());
+  EXPECT_EQ(actual.planner_cache.plan_evaluations, expected.planner_cache.plan_evaluations);
+  EXPECT_EQ(actual.planner_cache.stage_evaluations, expected.planner_cache.stage_evaluations);
+}
+
+// ---------------------------------------------------------------------------
 // Idempotency: at-most-once application of retried ops.
 
 TEST(Idempotency, DuplicateSubmitReturnsTheOriginalDecision) {
