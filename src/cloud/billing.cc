@@ -90,4 +90,9 @@ double BillingMeter::TotalGpuSecondsUsed() const {
   return total;
 }
 
+double BillingMeter::Utilization(int gpus_per_instance) const {
+  const double provisioned = TotalInstanceSeconds() * gpus_per_instance;
+  return provisioned > 0.0 ? TotalGpuSecondsUsed() / provisioned : 0.0;
+}
+
 }  // namespace rubberband

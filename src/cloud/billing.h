@@ -56,6 +56,9 @@ class BillingMeter {
 
   double TotalInstanceSeconds() const;
   double TotalGpuSecondsUsed() const;
+  // Busy GPU-seconds over provisioned GPU-seconds (0 when nothing was
+  // provisioned): the utilization the paper's whole argument is about.
+  double Utilization(int gpus_per_instance) const;
   double total_ingress_gb() const { return ingress_gb_; }
   int num_acquisitions() const { return static_cast<int>(instance_intervals_.size()); }
 

@@ -28,6 +28,15 @@ struct CloudProfile {
     }
     return instance.WithPrice(instance.price_per_hour * spot.discount);
   }
+
+  // The instance type a billing ledger of this cloud is priced at.
+  // Per-instance intervals carry their own rate multiplier (spot discount x
+  // the time-averaged price trace for spot capacity, 1.0 for on-demand), so
+  // they price at the on-demand rate; per-function records carry no
+  // multiplier and keep the flat discounted rate.
+  InstanceType LedgerInstance() const {
+    return pricing.billing == BillingModel::kPerFunction ? BilledInstance() : instance;
+  }
 };
 
 }  // namespace rubberband

@@ -28,8 +28,8 @@ namespace rubberband {
 
 class SimulatedCloud : public InstanceSource {
  public:
-  // When `registry` is null the cloud owns a private registry (standalone
-  // executors fold its snapshot into their report); a shared-cluster owner
+  // When `registry` is null the cloud owns a private registry (a run alone
+  // on the cloud folds its snapshot into its report); a multi-tenant owner
   // passes its own so cloud.* metrics land in the service-wide registry.
   SimulatedCloud(Simulation& sim, CloudProfile profile, MetricsRegistry* registry = nullptr);
 
@@ -157,16 +157,9 @@ class SimulatedCloud : public InstanceSource {
   MetricsRegistry& metrics() { return *registry_; }
   const MetricsRegistry& metrics() const { return *registry_; }
 
-  // Prices the ledger under the profile's own pricing policy. Per-instance
-  // intervals carry their own rate multiplier (spot discount × the
-  // time-averaged price trace for spot capacity, 1.0 for on-demand), so
-  // the ledger is priced at the on-demand rate; per-function records carry
-  // no multiplier and keep the flat discounted rate.
+  // Prices the ledger under the profile's own pricing policy.
   CostBreakdown Cost() const {
-    const InstanceType type = profile_.pricing.billing == BillingModel::kPerFunction
-                                  ? profile_.BilledInstance()
-                                  : profile_.instance;
-    return meter_.Price(type, profile_.pricing);
+    return meter_.Price(profile_.LedgerInstance(), profile_.pricing);
   }
 
   // The on-demand counterfactual for the same usage (every interval at

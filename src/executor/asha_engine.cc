@@ -13,25 +13,22 @@ AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
     : plan_(plan),
       workload_(workload),
       options_(options),
-      owned_sim_(std::make_unique<Simulation>(options.seed)),
-      owned_cloud_(std::make_unique<SimulatedCloud>(*owned_sim_, cloud_profile)),
-      sim_(*owned_sim_),
-      cloud_(*owned_cloud_),
+      standalone_(std::make_unique<OwnedCluster>(options.seed, cloud_profile)),
+      sim_(standalone_->sim),
+      cloud_(standalone_->cloud),
       source_(nullptr),
-      shared_(false),
       config_rng_(options.seed ^ 0xA5A5A5A5ULL) {
   InitRungs();
 }
 
 AshaEngine::AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
-                       const SharedClusterContext& context, const AshaEngineOptions& options)
+                       const ClusterContext& context, const AshaEngineOptions& options)
     : plan_(plan),
       workload_(workload),
       options_(options),
       sim_(*context.sim),
       cloud_(*context.cloud),
       source_(context.source),
-      shared_(true),
       config_rng_(options.seed ^ 0xA5A5A5A5ULL) {
   InitRungs();
 }
@@ -46,7 +43,7 @@ void AshaEngine::InitRungs() {
 }
 
 ExecutionReport AshaEngine::Run() {
-  if (shared_) {
+  if (!standalone_) {
     throw std::logic_error("Run() drives its own simulation; shared engines use Start()");
   }
   Start(nullptr);
@@ -72,7 +69,7 @@ void AshaEngine::Provision() {
   const int instances = (total_gpus + gpg - 1) / gpg;
   requested_slots_ = instances;
   pending_slots_ = instances;
-  if (!shared_) {
+  if (standalone_) {
     // Baseline sequencing (the one tests/golden/asha_oracle.json froze):
     // request the pool, then start every worker at the mean ready latency
     // (ASHA assumes a fixed cluster that exists for the whole run).
@@ -236,7 +233,7 @@ void AshaEngine::FinishRun() {
   const Seconds now = sim_.now();
   report_.jct = now;
   const CloudProfile& profile = cloud_.profile();
-  if (!shared_) {
+  if (standalone_) {
     cloud_.TerminateAll();
     report_.cost = cloud_.Cost();
   } else {
@@ -249,19 +246,14 @@ void AshaEngine::FinishRun() {
     }
     owned_instances_.clear();
     acquired_at_.clear();
-    const InstanceType billed_type = profile.pricing.billing == BillingModel::kPerFunction
-                                         ? profile.BilledInstance()
-                                         : profile.instance;
-    report_.cost = job_meter_.Price(billed_type, profile.pricing);
+    report_.cost = job_meter_.Price(profile.LedgerInstance(), profile.pricing);
   }
   report_.best_accuracy = best_accuracy_;
   report_.best_config = best_config_;
   // Busy GPU-seconds over provisioned GPU-seconds, from whichever meter
   // closed this job's billing intervals above.
-  const BillingMeter& meter = shared_ ? job_meter_ : cloud_.meter();
-  const double provisioned = meter.TotalInstanceSeconds() * profile.gpus_per_instance();
-  report_.realized_utilization =
-      provisioned > 0.0 ? meter.TotalGpuSecondsUsed() / provisioned : 0.0;
+  const BillingMeter& meter = standalone_ ? cloud_.meter() : job_meter_;
+  report_.realized_utilization = meter.Utilization(profile.gpus_per_instance());
 
   // One stage-log row per rung (the async analogue of the stage table).
   int64_t previous_budget = 0;
@@ -284,12 +276,8 @@ void AshaEngine::FinishRun() {
   report_.asha_configurations_sampled = configurations_sampled_;
   report_.asha_promotions = static_cast<int64_t>(promotions_.size());
   report_.asha_rungs = static_cast<int>(plan_.rung_budgets.size());
-  if (!shared_) {
-    // As a standalone Executor does: a sum of one beside the cloud's own.
-    JobMetricsSum own;
-    own.Add(report_);
-    report_.metrics = cloud_.metrics().Snapshot();
-    own.ExportTo(&report_.metrics);
+  if (standalone_) {
+    ExportSumOfOne(cloud_, &report_);
   }
   if (options_.observe) {
     // The whole run is one barrier-free phase; its span tiles [start, JCT].

@@ -19,9 +19,9 @@
 //     samples, JCT, best trial, cost); Compile.AshaOracleParity holds this
 //     mode to it field for field.
 //
-// Like Executor, the engine runs standalone (owns its simulation + cloud)
-// or shared (joins a SharedClusterContext: the service's timeline, billing
-// account, and warm pool), and reports through the same ExecutionReport so
+// The engine runs standalone (owns its simulation + cloud) or shared
+// (joins a ClusterContext: the service's timeline, billing account, and
+// warm pool), and reports through the same ExecutionReport as Executor so
 // the tuning service admits ASHA jobs next to staged ones. Instance loss
 // on a shared cluster is replacement-only: in-flight rung runs carry their
 // own state, so a lost instance costs a replacement request, not rework.
@@ -73,7 +73,7 @@ class AshaEngine {
   // Shared: joins an existing timeline and instance source; use Start()
   // and let the context owner drive the simulation.
   AshaEngine(const AshaPlan& plan, const WorkloadSpec& workload,
-             const SharedClusterContext& context, const AshaEngineOptions& options = {});
+             const ClusterContext& context, const AshaEngineOptions& options = {});
 
   AshaEngine(const AshaEngine&) = delete;
   AshaEngine& operator=(const AshaEngine&) = delete;
@@ -131,12 +131,16 @@ class AshaEngine {
   WorkloadSpec workload_;
   AshaEngineOptions options_;
 
-  std::unique_ptr<Simulation> owned_sim_;
-  std::unique_ptr<SimulatedCloud> owned_cloud_;
+  // The simulation and cloud a standalone engine owns; null on a cluster.
+  struct OwnedCluster {
+    OwnedCluster(uint64_t seed, const CloudProfile& profile) : sim(seed), cloud(sim, profile) {}
+    Simulation sim;
+    SimulatedCloud cloud;
+  };
+  std::unique_ptr<OwnedCluster> standalone_;
   Simulation& sim_;
   SimulatedCloud& cloud_;
-  InstanceSource* source_;  // shared mode; null standalone
-  const bool shared_;
+  InstanceSource* source_;  // on a cluster; null standalone
   std::function<void(const ExecutionReport&)> on_done_;
 
   Rng config_rng_;

@@ -23,30 +23,7 @@ RetryPolicy MergedRetry(const ExecutorOptions& options) {
 }  // namespace
 
 Executor::Executor(const ExperimentSpec& spec, const AllocationPlan& plan,
-                   const WorkloadSpec& workload, const CloudProfile& cloud_profile,
-                   const ExecutorOptions& options)
-    : spec_(spec),
-      plan_(plan),
-      workload_(workload),
-      options_(options),
-      owned_sim_(std::make_unique<Simulation>(options.seed)),
-      owned_cloud_(std::make_unique<SimulatedCloud>(*owned_sim_, cloud_profile)),
-      sim_(*owned_sim_),
-      cloud_(*owned_cloud_),
-      shared_(false),
-      manager_(sim_, cloud_, workload.dataset.size_gb, MergedRetry(options)),
-      placement_(cloud_profile.gpus_per_instance(), options.placement),
-      checkpoint_faults_(cloud_profile.fault, Rng(options.seed ^ 0xFA177EDull)) {
-  spec_.Validate();
-  plan_.Validate(spec_.num_stages());
-  if (options_.straggler.detect || options_.straggler.mitigate) {
-    detector_ = std::make_unique<StragglerDetector>(options_.straggler.detector);
-  }
-  InitHistograms();
-}
-
-Executor::Executor(const ExperimentSpec& spec, const AllocationPlan& plan,
-                   const WorkloadSpec& workload, const SharedClusterContext& context,
+                   const WorkloadSpec& workload, const ClusterContext& context,
                    const ExecutorOptions& options)
     : spec_(spec),
       plan_(plan),
@@ -54,7 +31,6 @@ Executor::Executor(const ExperimentSpec& spec, const AllocationPlan& plan,
       options_(options),
       sim_(*context.sim),
       cloud_(*context.cloud),
-      shared_(true),
       gpu_cap_(context.gpu_cap),
       manager_(sim_, *context.source, workload.dataset.size_gb, MergedRetry(options)),
       placement_(cloud_.profile().gpus_per_instance(), options.placement),
@@ -64,10 +40,6 @@ Executor::Executor(const ExperimentSpec& spec, const AllocationPlan& plan,
   if (options_.straggler.detect || options_.straggler.mitigate) {
     detector_ = std::make_unique<StragglerDetector>(options_.straggler.detector);
   }
-  InitHistograms();
-}
-
-void Executor::InitHistograms() {
   if (options_.observe) {
     sync_wait_ = std::make_unique<Histogram>(DefaultLatencyBucketsNs());
     stage_seconds_ = std::make_unique<Histogram>(DefaultLatencyBucketsNs());
@@ -150,7 +122,7 @@ void Executor::NoteReleased(InstanceId id) {
   acquired_market_.erase(id);
 }
 
-void Executor::Start(std::function<void(const ExecutionReport&)> on_done) {
+void Executor::Start(std::function<void(ExecutionReport&)> on_done) {
   if (current_stage_ >= 0) {
     throw std::logic_error("Executor may only be started once");
   }
@@ -204,27 +176,11 @@ void Executor::Start(std::function<void(const ExecutionReport&)> on_done) {
   StartStage(0);
 }
 
-ExecutionReport Executor::Run() {
-  if (shared_) {
-    throw std::logic_error("Run() drives its own simulation; shared executors use Start()");
-  }
-  cloud_.SetPreemptionHandler([this](InstanceId id) { OnPreemption(id); });
-  cloud_.SetCrashHandler([this](InstanceId id) { OnCrash(id); });
-  cloud_.SetPreemptionWarningHandler([this](InstanceId id) { OnPreemptionWarning(id); });
-  cloud_.SetPriceChangeHandler([this](double multiplier) {
-    // The multiplier rides in the instance column, in basis points, so the
-    // trace CSV stays integral.
-    report_.trace.Record(sim_.now(), TraceEventType::kSpotPriceChange, current_stage_, -1,
-                         static_cast<int64_t>(std::lround(multiplier * 10000.0)));
-  });
-  Start(nullptr);
-  sim_.Run();
-  if (!finished_) {
-    throw std::logic_error("simulation drained without completing the experiment");
-  }
-  // Single-shot: the executor is done, so hand the report (trace, timeline,
-  // metrics snapshot) to the caller without a deep copy.
-  return std::move(report_);
+void Executor::OnPriceChange(double multiplier) {
+  // The multiplier rides in the instance column, in basis points, so the
+  // trace CSV stays integral.
+  report_.trace.Record(sim_.now(), TraceEventType::kSpotPriceChange, current_stage_, -1,
+                       static_cast<int64_t>(std::lround(multiplier * 10000.0)));
 }
 
 bool Executor::OwnsInstance(InstanceId instance) const {
@@ -1064,41 +1020,27 @@ void Executor::Finish(int final_stage) {
     NoteReleased(id);
     report_.trace.Record(sim_.now(), TraceEventType::kInstanceReleased, final_stage, -1, id);
   }
-  // Standalone jobs settle against the account ledger (exact, including
-  // init-time billing and acquisition minimums). On a shared cluster the
-  // account bills every tenant plus the warm pool's idle time, so the
-  // per-job report prices this job's attributed slice instead; the service
-  // reports the exact aggregate from the account ledger.
-  const BillingMeter& meter = shared_ ? job_meter_ : cloud_.meter();
-  // Shared-mode per-instance intervals carry their own rate multiplier
-  // (spot discount x price trace), so they price at the on-demand rate;
-  // per-function records carry none and keep the flat discounted rate —
-  // the same convention as SimulatedCloud::Cost().
+  // The account may bill other tenants and the warm pool's idle time too,
+  // so the report prices this job's attributed slice: per-instance
+  // intervals carry their own rate multiplier (spot discount x price
+  // trace), per-function records the flat discounted rate. A cluster of one
+  // (ExecutePlan) re-settles against the account ledger in on_done_.
   const CloudProfile& profile = cloud_.profile();
-  const InstanceType billed_type = profile.pricing.billing == BillingModel::kPerFunction
-                                       ? profile.BilledInstance()
-                                       : profile.instance;
-  report_.cost = shared_ ? job_meter_.Price(billed_type, profile.pricing) : cloud_.Cost();
+  report_.cost = job_meter_.Price(profile.LedgerInstance(), profile.pricing);
   report_.checkpoint_saves = checkpoint_store_.saves();
   report_.checkpoint_fetches = checkpoint_store_.fetches();
   report_.checkpoint_gb_moved = checkpoint_store_.gb_moved();
   // Ground truth for grading: how many stragglers the provider launched.
-  // Cloud-wide, so in shared mode this counts every tenant's stragglers.
+  // Cloud-wide, so on a multi-tenant cluster this counts every tenant's.
   report_.stragglers_injected = cloud_.num_straggler_instances();
-  const double provisioned_gpu_seconds =
-      meter.TotalInstanceSeconds() * cloud_.profile().gpus_per_instance();
-  report_.realized_utilization =
-      provisioned_gpu_seconds > 0.0 ? meter.TotalGpuSecondsUsed() / provisioned_gpu_seconds : 0.0;
-
+  report_.realized_utilization = job_meter_.Utilization(profile.gpus_per_instance());
   if (profile.spot.enabled) {
     // What this usage would have cost on-demand, minus what it billed:
     // the job's realized spot savings (net of price-trace drift; the
     // rework above is its time-side cost).
-    const CostBreakdown full_rate = shared_
-                                        ? job_meter_.PriceAtFullRate(profile.instance,
-                                                                     profile.pricing)
-                                        : cloud_.OnDemandEquivalentCost();
-    report_.spot_savings = full_rate.Total() - report_.cost.Total();
+    report_.spot_savings =
+        job_meter_.PriceAtFullRate(profile.instance, profile.pricing).Total() -
+        report_.cost.Total();
   }
 
   report_.staged_metrics = true;
@@ -1106,15 +1048,6 @@ void Executor::Finish(int final_stage) {
   if (options_.observe) {
     report_.metrics.histograms["executor.sync_wait_seconds"] = sync_wait_->Snapshot();
     report_.metrics.histograms["executor.stage_seconds"] = stage_seconds_->Snapshot();
-  }
-  if (!shared_) {
-    // A standalone run exports itself as a sum of one, beside its own
-    // cloud's provisioning/billing metrics. On a shared cluster the owner
-    // adds the report into its fleet sum and exports that instead.
-    JobMetricsSum own;
-    own.Add(report_);
-    report_.metrics = cloud_.metrics().Snapshot();
-    own.ExportTo(&report_.metrics);
   }
   report_.timeline = std::move(timeline_);
   // Whatever handles remain are stale (their events fired); Cancel no-ops
@@ -1132,8 +1065,39 @@ void Executor::Finish(int final_stage) {
 ExecutionReport ExecutePlan(const ExperimentSpec& spec, const AllocationPlan& plan,
                             const WorkloadSpec& workload, const CloudProfile& cloud_profile,
                             const ExecutorOptions& options) {
-  Executor executor(spec, plan, workload, cloud_profile, options);
-  return executor.Run();
+  Simulation sim(options.seed);
+  SimulatedCloud cloud(sim, cloud_profile);
+  ClusterContext context;
+  context.sim = &sim;
+  context.cloud = &cloud;
+  context.source = &cloud;
+  Executor executor(spec, plan, workload, context, options);
+  // The only tenant holds every instance, so losses route unfiltered.
+  cloud.SetPreemptionHandler([&](InstanceId id) { executor.OnPreemption(id); });
+  cloud.SetCrashHandler([&](InstanceId id) { executor.OnCrash(id); });
+  cloud.SetPreemptionWarningHandler([&](InstanceId id) { executor.OnPreemptionWarning(id); });
+  cloud.SetPriceChangeHandler([&](double multiplier) { executor.OnPriceChange(multiplier); });
+
+  ExecutionReport* finished = nullptr;
+  executor.Start([&](ExecutionReport& report) {
+    // Settle at the finish instant, before any late provisioning callback
+    // can reach the ledger. The account bills only this job, so its ledger
+    // is exact, init-time billing and acquisition minimums included.
+    report.cost = cloud.Cost();
+    report.realized_utilization = cloud.meter().Utilization(cloud_profile.gpus_per_instance());
+    if (cloud_profile.spot.enabled) {
+      report.spot_savings = cloud.OnDemandEquivalentCost().Total() - report.cost.Total();
+    }
+    ExportSumOfOne(cloud, &report);
+    finished = &report;
+  });
+  sim.Run();
+  if (finished == nullptr) {
+    throw std::logic_error("simulation drained without completing the experiment");
+  }
+  // The executor is done, so hand its report (trace, timeline, metrics
+  // snapshot) to the caller without a deep copy.
+  return std::move(*finished);
 }
 
 }  // namespace rubberband

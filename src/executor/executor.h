@@ -11,6 +11,10 @@
 // survivors across stage migrations. Produces the "real" columns of
 // Table 2: realized JCT, realized cost (from the provider's billing
 // ledger), and the accuracy of the winning configuration.
+//
+// An executor always joins a ClusterContext: the tuning service runs one
+// per job on its shared cluster, and ExecutePlan runs a standalone
+// experiment as a cluster of one.
 
 #ifndef SRC_EXECUTOR_EXECUTOR_H_
 #define SRC_EXECUTOR_EXECUTOR_H_
@@ -169,8 +173,8 @@ struct ExecutionReport {
   Seconds recovery_seconds = 0.0; // total trial time spent awaiting restart
   // Gray-failure statistics (zero unless stragglers are injected/detected).
   int stragglers_injected = 0;       // instances launched with a slowdown tag
-                                     // (cloud-wide: in shared mode this counts
-                                     // every tenant's stragglers)
+                                     // (cloud-wide: on a multi-tenant cluster
+                                     // this counts every tenant's stragglers)
   int stragglers_detected = 0;       // instances the detector flagged
   int stragglers_quarantined = 0;    // flagged instances checkpointed out
   int straggler_false_positives = 0; // flags on instances that were healthy
@@ -201,23 +205,24 @@ struct ExecutionReport {
   bool spot_metrics = false;
   bool asha_metrics = false;
   ExecutionTrace trace;
-  // A standalone run's exported metrics (its fields, named) plus its own
-  // cloud's cloud.* metrics. On a shared cluster, only the observe-mode
-  // executor.* histograms: the cluster's owner sums the fields itself.
+  // As the executor finishes: only the observe-mode executor.* histograms,
+  // since the cluster's owner sums the fields itself. ExecutePlan's report
+  // carries the run's fields, named, beside its own cloud's cloud.* metrics.
   MetricsSnapshot metrics;
   // Phase spans (plan/provision/stage-run/sync/checkpoint/restore/
   // quarantine); empty unless ExecutorOptions::observe.
   Timeline timeline;
 };
 
-// Shared-cluster execution context: lets many executors (one per tuning
-// job) run concurrently on one discrete-event timeline, drawing instances
-// from one provider — the multi-tenant service substrate. The caller (the
-// tuning service) owns the simulation, the billing account, and the
-// instance source (typically a WarmPool recycling instances across jobs),
-// and is responsible for driving the event loop and routing spot
-// preemptions to the executor that owns the instance.
-struct SharedClusterContext {
+// Cluster execution context: the timeline and instance provider an
+// executor runs on. Many executors (one per tuning job) may share one
+// context — the multi-tenant service substrate — and a standalone run is a
+// cluster of one (ExecutePlan). The caller owns the simulation, the billing
+// account, and the instance source (the cloud itself, or a WarmPool
+// recycling instances across jobs), drives the event loop, and routes each
+// instance loss, reclamation warning and price change to the executor that
+// owns the instance.
+struct ClusterContext {
   Simulation* sim = nullptr;
   SimulatedCloud* cloud = nullptr;
   InstanceSource* source = nullptr;
@@ -228,32 +233,26 @@ struct SharedClusterContext {
 
 class Executor {
  public:
-  // Standalone: the executor owns a fresh simulation and cloud, runs the
-  // plan to completion via Run().
+  // Joins the context's timeline and instance source. Use Start(); the
+  // context owner drives the simulation.
   Executor(const ExperimentSpec& spec, const AllocationPlan& plan, const WorkloadSpec& workload,
-           const CloudProfile& cloud_profile, const ExecutorOptions& options = {});
-
-  // Shared: the executor joins an existing timeline and instance source.
-  // Use Start(); the context owner drives the simulation.
-  Executor(const ExperimentSpec& spec, const AllocationPlan& plan, const WorkloadSpec& workload,
-           const SharedClusterContext& context, const ExecutorOptions& options = {});
+           const ClusterContext& context, const ExecutorOptions& options = {});
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Runs the experiment to completion and reports. Call once (standalone
-  // executors only).
-  ExecutionReport Run();
-
   // Kicks the experiment off asynchronously; `on_done` fires (on the
-  // simulation timeline) when the final stage's barrier completes. In
-  // shared mode the per-job report prices only this job's attributed usage.
-  void Start(std::function<void(const ExecutionReport&)> on_done);
+  // simulation timeline) when the final stage's barrier completes, with a
+  // report that prices only this job's attributed usage. The owner may
+  // settle the report in place there (ExecutePlan prices it against the
+  // account ledger); it stays the executor's, and late provisioning
+  // callbacks may still append trace events to it until the timeline
+  // drains.
+  void Start(std::function<void(ExecutionReport&)> on_done);
 
   // Instance-loss entry points — spot preemption and hardware crash follow
   // the same unified recovery path (checkpoint restore + replacement
-  // request), differing only in attribution. Standalone executors wire
-  // these to the provider themselves; a shared-cluster owner routes each
+  // request), differing only in attribution. The context owner routes each
   // loss to the executor holding the instance.
   void OnPreemption(InstanceId instance);
   void OnCrash(InstanceId instance);
@@ -261,13 +260,15 @@ class Executor {
   // Reclamation warning: the provider announced it will take `instance`
   // back shortly. Every running trial with workers on it is checkpointed at
   // its *current* progress, so the reclamation (when it lands) rolls back
-  // only the warning window instead of the whole stage. Standalone
-  // executors wire this to the provider; a shared-cluster owner routes each
-  // warning to the executor holding the instance.
+  // only the warning window instead of the whole stage. The context owner
+  // routes each warning to the executor holding the instance.
   void OnPreemptionWarning(InstanceId instance);
 
-  // True while this job's cluster holds the instance (shared-mode
-  // preemption routing).
+  // Spot price change: a SPOT_PRICE_CHANGE trace event carrying the new
+  // multiplier.
+  void OnPriceChange(double multiplier);
+
+  // True while this job's cluster holds the instance (loss routing).
   bool OwnsInstance(InstanceId instance) const;
 
   bool finished() const { return finished_; }
@@ -355,8 +356,6 @@ class Executor {
   // replacement that completes a pending scale-up fires the waiter (and
   // BeginTraining) before its own callback runs.
   bool RegisterNode(InstanceId id);
-  // Creates the observe-only histograms (both constructors).
-  void InitHistograms();
   // Records a phase span on the timeline; no-op unless options_.observe.
   void Span(const char* name, Seconds start, Seconds end, int stage, int trial = -1,
             int64_t instance = -1);
@@ -366,14 +365,10 @@ class Executor {
   WorkloadSpec workload_;
   ExecutorOptions options_;
 
-  // Standalone mode owns its runtime; shared mode borrows the context's.
-  std::unique_ptr<Simulation> owned_sim_;
-  std::unique_ptr<SimulatedCloud> owned_cloud_;
   Simulation& sim_;
   SimulatedCloud& cloud_;
-  const bool shared_;
   std::function<int()> gpu_cap_;
-  std::function<void(const ExecutionReport&)> on_done_;
+  std::function<void(ExecutionReport&)> on_done_;
   // This job's slice of the (possibly shared) billing account: instance
   // time from acquisition to release and busy GPU-seconds. Per-instance
   // init time and acquisition minimums stay on the account-level ledger.
@@ -452,9 +447,8 @@ class Executor {
   ExecutionReport report_;
 
   // Components count into report_'s plain fields; names are bound only at
-  // export (JobMetricsSum): by Finish() for a standalone run, by the
-  // cluster's owner otherwise. Latency histograms are null unless
-  // options_.observe (profile depth, not report fields).
+  // export (JobMetricsSum), by the cluster's owner. Latency histograms are
+  // null unless options_.observe (profile depth, not report fields).
   std::unique_ptr<Histogram> sync_wait_;
   std::unique_ptr<Histogram> stage_seconds_;
 
@@ -471,8 +465,11 @@ class Executor {
   std::vector<Seconds> stage_completed_at_;
 };
 
-// Convenience wrapper: plan is executed on a fresh simulated cloud built
-// from `cloud_profile`.
+// Runs the plan as a one-tenant cluster: a fresh simulation and simulated
+// cloud built from `cloud_profile`, driven until it drains. The report is
+// settled against the cloud's own ledger at the finish instant (exact,
+// including init-time billing and acquisition minimums) and carries the
+// run's metrics beside the cloud's cloud.* metrics.
 ExecutionReport ExecutePlan(const ExperimentSpec& spec, const AllocationPlan& plan,
                             const WorkloadSpec& workload, const CloudProfile& cloud_profile,
                             const ExecutorOptions& options = {});

@@ -143,4 +143,11 @@ void JobMetricsSum::ExportTo(MetricsSnapshot* snapshot) const {
   }
 }
 
+void ExportSumOfOne(const SimulatedCloud& cloud, ExecutionReport* report) {
+  JobMetricsSum own;
+  own.Add(*report);
+  report->metrics = cloud.metrics().Snapshot();
+  own.ExportTo(&report->metrics);
+}
+
 }  // namespace rubberband

@@ -4,7 +4,7 @@
 // registry, no string-keyed handles). A JobMetricsSum adds finished jobs'
 // reports, in completion order, and binds the metric names once, at
 // export: the tuning service sums its fleet for the report and MetricsNow,
-// and a standalone run exports a sum of one.
+// and a run that owns its cloud exports a sum of one (ExportSumOfOne).
 
 #ifndef SRC_EXECUTOR_JOB_METRICS_H_
 #define SRC_EXECUTOR_JOB_METRICS_H_
@@ -27,7 +27,7 @@ class JobMetricsSum {
   explicit JobMetricsSum(bool planner_metrics = true);
 
   // Adds the values `report` exports (its *_metrics families) and the
-  // histograms in report.metrics, which on a shared cluster hold only the
+  // histograms in report.metrics, which as the job finishes hold only the
   // observe-mode executor.* histograms. The double gauges are sums whose
   // last digits depend on the order jobs are added in.
   void Add(const ExecutionReport& report);
@@ -44,6 +44,12 @@ class JobMetricsSum {
   std::vector<double> gauges_;
   std::map<std::string, HistogramSnapshot> histograms_;
 };
+
+// A run alone on its own cloud (ExecutePlan, a standalone AshaEngine)
+// exports itself as a sum of one: report->metrics becomes the cloud's
+// cloud.* provisioning/billing metrics plus the report's own families and
+// the histograms it already carried.
+void ExportSumOfOne(const SimulatedCloud& cloud, ExecutionReport* report);
 
 }  // namespace rubberband
 

@@ -414,7 +414,7 @@ void TuningService::StartJob(size_t index) {
     shares_dirty_ = true;
   }
 
-  SharedClusterContext context;
+  ClusterContext context;
   context.sim = &sim_;
   context.cloud = &cloud_;
   context.source = &pool_;
@@ -855,10 +855,7 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
   report.instance_launches = cloud_.meter().num_acquisitions();
   report.stragglers_injected = cloud_.num_straggler_instances();
   report.warm = pool_.stats();
-  const double provisioned =
-      cloud_.meter().TotalInstanceSeconds() * config_.cloud.gpus_per_instance();
-  report.aggregate_utilization =
-      provisioned > 0.0 ? cloud_.meter().TotalGpuSecondsUsed() / provisioned : 0.0;
+  report.aggregate_utilization = cloud_.meter().Utilization(config_.cloud.gpus_per_instance());
 
   // Settle the service-wide registry: outcome gauges, the aggregate
   // planner-cache counters, then one snapshot with the fleet sum's

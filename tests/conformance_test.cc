@@ -94,8 +94,9 @@ PlannedJob PlanCase(const ConformanceCase& test_case, const PlannerInputs& input
   return PlanGreedy(evaluator);
 }
 
-// Runs the planned job on its own simulation + cloud (shared-cluster mode,
-// so the test can inspect the provider's meter and registry afterwards).
+// Runs the planned job on its own simulation + cloud, wired by hand (not
+// through ExecutePlan) so the test can inspect the provider's meter and
+// registry afterwards.
 struct ConformanceRun {
   ExecutionReport report;
   double billed_meter_seconds = 0.0;
@@ -108,7 +109,7 @@ ConformanceRun RunCase(const ConformanceCase& test_case, const PlannedJob& job,
                        bool observe) {
   Simulation sim(0);
   SimulatedCloud cloud(sim, CaseCloud(test_case));
-  SharedClusterContext context;
+  ClusterContext context;
   context.sim = &sim;
   context.cloud = &cloud;
   context.source = &cloud;
@@ -131,7 +132,7 @@ ConformanceRun RunCase(const ConformanceCase& test_case, const PlannedJob& job,
   bool done = false;
   executor.Start([&](const ExecutionReport& r) {
     run.report = r;
-    // A shared-cluster report carries no named metrics: the cluster's owner
+    // An executor's report carries no named metrics: the cluster's owner
     // binds the names by summing the report and exporting, as done here.
     JobMetricsSum sum;
     sum.Add(r);

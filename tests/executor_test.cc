@@ -197,16 +197,9 @@ TEST(Executor, ScatterPlacementDegradesThroughput) {
   EXPECT_GT(Mean(a.trial_throughputs), 1.8 * Mean(b.trial_throughputs));
 }
 
-TEST(Executor, RunTwiceThrows) {
-  const ExperimentSpec spec = MakeSha(2, 1, 1, 2);
-  Executor executor(spec, AllocationPlan({2}), ResNet101Cifar10(), FastCloud());
-  executor.Run();
-  EXPECT_THROW(executor.Run(), std::logic_error);
-}
-
 TEST(Executor, RejectsMismatchedPlan) {
   const ExperimentSpec spec = MakeSha(8, 2, 14, 2);
-  EXPECT_THROW(Executor(spec, AllocationPlan({8}), ResNet101Cifar10(), FastCloud()),
+  EXPECT_THROW(ExecutePlan(spec, AllocationPlan({8}), ResNet101Cifar10(), FastCloud()),
                std::invalid_argument);
 }
 

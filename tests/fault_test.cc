@@ -425,7 +425,7 @@ TEST(ExecutorFaults, MidStageAbandonDegradesTheRunningStageVisibly) {
   Simulation sim(0);
   SimulatedCloud cloud(sim, TestCloud());
   SaboteurSource source(sim, cloud);
-  SharedClusterContext context;
+  ClusterContext context;
   context.sim = &sim;
   context.cloud = &cloud;
   context.source = &source;

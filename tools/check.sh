@@ -55,10 +55,11 @@
 #
 # tools/check.sh --spot runs the spot-market survival tier in the default
 # build tree: the Spot* suites (market mechanics, eager checkpoints,
-# fallback, risk-aware planning, billing) via ctest -R, then
-# bench/spot_sweep — whose hard self-checks (inert-market row byte-equal
-# to on-demand; moderate volatility >= 25% cheaper without giving up the
-# deadline) regenerate BENCH_spot.json.
+# fallback, risk-aware planning, billing) and BenchBaseline.SpotSweep via
+# ctest -R, then bench/spot_sweep — whose hard self-checks (inert-market
+# row byte-equal to on-demand; moderate volatility >= 25% cheaper without
+# giving up the deadline) must pass and whose JSON, written to a temporary
+# file, must match the checked-in BENCH_spot.json byte for byte.
 #
 # tools/check.sh --all runs the eight tiers back to back (default,
 # --conformance, --server, --sanitize, --tsan, --chaos, --perf, --spot)
@@ -133,7 +134,8 @@ else
 fi
 
 log="$(mktemp)"
-trap 'rm -f "$log"' EXIT
+spot_json="$(mktemp)"
+trap 'rm -f "$log" "$spot_json"' EXIT
 
 cmake -B "$build_dir" -S . "${cmake_args[@]}"
 cmake --build "$build_dir" -j 2>&1 | tee "$log"
@@ -156,8 +158,9 @@ if [[ -n "$perf_bench" ]]; then
   ./bench/service_throughput --fleet 10000 --budget-s "${RB_PERF_BUDGET_S:-60}"
 fi
 if [[ -n "$spot_bench" ]]; then
-  echo "=== bench/spot_sweep: volatility regimes + inert-market self-check ==="
-  ./bench/spot_sweep --json ../BENCH_spot.json
+  echo "=== bench/spot_sweep: volatility regimes, self-checks, BENCH_spot.json identity ==="
+  ./bench/spot_sweep --json "$spot_json"
+  cmp ../BENCH_spot.json "$spot_json"
 fi
 test_elapsed=$((SECONDS - test_start))
 if [[ -n "$budget_s" ]]; then
