@@ -21,8 +21,9 @@
 // Exits non-zero if any seed's chaos report differs from its control
 // report, or if a seed recovered a journal holding a submit whose arrival
 // was decided at submit and applied no journaled decision (recovery
-// re-planned what it should have read back) — tools/check.sh --chaos runs
-// this as a gate, not a benchmark.
+// re-planned what it should have read back). The BenchBaseline.ChaosServer
+// ctest entry runs it with --json as a gate and compares the JSON against
+// the checked-in BENCH_chaos.json byte for byte.
 
 #include <cstdio>
 #include <cstdint>

@@ -68,10 +68,12 @@ Row Sweep(const std::string& label, const ExperimentSpec& spec, const Allocation
     const ExecutionReport report = ExecutePlan(spec, plan, workload, cloud, options);
     row.mean_jct += report.jct / kSeeds;
     row.mean_cost += report.cost.Total().dollars() / kSeeds;
-    row.mean_crashes += static_cast<double>(report.crashes) / kSeeds;
-    row.mean_provision_failures += static_cast<double>(report.provision_failures) / kSeeds;
-    row.mean_restarts += static_cast<double>(report.trial_restarts) / kSeeds;
-    row.mean_replans += static_cast<double>(report.replans) / kSeeds;
+    const ExecutionTrace& trace = report.trace;
+    row.mean_crashes += static_cast<double>(trace.Count(TraceEventType::kInstanceCrash)) / kSeeds;
+    row.mean_provision_failures +=
+        static_cast<double>(trace.Count(TraceEventType::kProvisionFailure)) / kSeeds;
+    row.mean_restarts += static_cast<double>(trace.Count(TraceEventType::kTrialRestart)) / kSeeds;
+    row.mean_replans += static_cast<double>(trace.Count(TraceEventType::kReplan)) / kSeeds;
     row.mean_recovery_s += report.recovery_seconds / kSeeds;
     if (report.jct <= kDeadline) {
       ++row.deadline_hits;

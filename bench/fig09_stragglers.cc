@@ -108,9 +108,13 @@ Row Sweep(const std::string& label, const ExperimentSpec& spec, const Allocation
     row.mean_jct += report.jct / kSeeds;
     row.mean_cost += report.cost.Total().dollars() / kSeeds;
     row.mean_injected += static_cast<double>(report.stragglers_injected) / kSeeds;
-    row.mean_detected += static_cast<double>(report.stragglers_detected) / kSeeds;
-    row.mean_quarantined += static_cast<double>(report.stragglers_quarantined) / kSeeds;
-    row.mean_false_positives += static_cast<double>(report.straggler_false_positives) / kSeeds;
+    const ExecutionTrace& trace = report.trace;
+    row.mean_detected +=
+        static_cast<double>(trace.Count(TraceEventType::kStragglerDetected)) / kSeeds;
+    row.mean_quarantined +=
+        static_cast<double>(trace.Count(TraceEventType::kStragglerQuarantined)) / kSeeds;
+    row.mean_false_positives +=
+        static_cast<double>(trace.Count(TraceEventType::kStragglerFalsePositive)) / kSeeds;
     row.mean_mitigation_s += report.straggler_mitigation_seconds / kSeeds;
     if (report.jct <= kDeadline) {
       ++row.deadline_hits;

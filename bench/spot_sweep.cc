@@ -74,10 +74,13 @@ Row Sweep(const ExperimentSpec& spec, const AllocationPlan& plan, const Workload
     const ExecutionReport report = ExecutePlan(spec, plan, workload, cloud, options);
     row.mean_jct += report.jct / kSeeds;
     row.mean_cost += report.cost.Total().dollars() / kSeeds;
-    row.mean_preemptions += static_cast<double>(report.preemptions) / kSeeds;
-    row.mean_warnings += static_cast<double>(report.preemption_warnings) / kSeeds;
+    const ExecutionTrace& trace = report.trace;
+    row.mean_preemptions += static_cast<double>(trace.Count(TraceEventType::kPreemption)) / kSeeds;
+    row.mean_warnings +=
+        static_cast<double>(trace.Count(TraceEventType::kPreemptionWarning)) / kSeeds;
     row.mean_eager += static_cast<double>(report.eager_checkpoints) / kSeeds;
-    row.mean_fallbacks += static_cast<double>(report.market_fallbacks) / kSeeds;
+    row.mean_fallbacks +=
+        static_cast<double>(trace.Count(TraceEventType::kMarketFallback)) / kSeeds;
     row.mean_rework_s += report.spot_rework_seconds / kSeeds;
     row.mean_savings += report.spot_savings.dollars() / kSeeds;
     if (report.jct <= kDeadline) {

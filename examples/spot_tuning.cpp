@@ -31,7 +31,8 @@ int main() {
   const ExecutionReport baseline = Execute(spec, job.plan, workload, on_demand);
   std::printf("%-26s %10s %10s %12d %10d\n", "on-demand",
               FormatDuration(baseline.jct).c_str(), baseline.cost.Total().ToString().c_str(),
-              baseline.preemptions, baseline.trial_restarts);
+              baseline.trace.Count(TraceEventType::kPreemption),
+              baseline.trace.Count(TraceEventType::kTrialRestart));
 
   for (double mttp_minutes : {120.0, 30.0, 10.0, 5.0}) {
     CloudProfile spot = on_demand;
@@ -42,8 +43,10 @@ int main() {
     char label[64];
     std::snprintf(label, sizeof(label), "spot (reclaim ~%.0f min)", mttp_minutes);
     std::printf("%-26s %10s %10s %12d %10d%s\n", label, FormatDuration(report.jct).c_str(),
-                report.cost.Total().ToString().c_str(), report.preemptions,
-                report.trial_restarts, report.jct > deadline ? "  [missed deadline]" : "");
+                report.cost.Total().ToString().c_str(),
+                report.trace.Count(TraceEventType::kPreemption),
+                report.trace.Count(TraceEventType::kTrialRestart),
+                report.jct > deadline ? "  [missed deadline]" : "");
   }
 
   std::printf("\nThe 70%% discount absorbs a lot of rework, but the JCT guarantee is\n"

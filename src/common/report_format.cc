@@ -23,44 +23,46 @@ void Appendf(std::string& out, const char* fmt, ...) {
 
 std::string FormatExecutionSummary(const ExecutionReport& report,
                                    const ExecutionFormatOptions& options) {
+  using T = TraceEventType;
+  const auto count = [&report](T type) { return report.trace.Count(type); };
+  const auto plural = [](int n) { return n == 1 ? "" : "s"; };
   std::string out;
   Appendf(out, "\nexecuted: JCT %s, cost %s (compute %s + data %s)\n",
           FormatDuration(report.jct).c_str(), report.cost.Total().ToString().c_str(),
           report.cost.compute.ToString().c_str(), report.cost.data.ToString().c_str());
   Appendf(out, "utilization %.0f%%, preemptions %d, best config %s, accuracy %.1f%%\n",
-          100.0 * report.realized_utilization, report.preemptions,
+          100.0 * report.realized_utilization, count(T::kPreemption),
           report.best_config.ToString().c_str(), 100.0 * report.best_accuracy);
   if (options.show_faults) {
     Appendf(out,
             "faults: %d crashes, %d provision failures (%d retried, %d abandoned), "
             "%d checkpoint retries\n",
-            report.crashes, report.provision_failures, report.provision_retries,
-            report.capacity_shortfalls, report.checkpoint_retries);
+            count(T::kInstanceCrash), count(T::kProvisionFailure), count(T::kProvisionRetry),
+            count(T::kProvisionGiveUp), count(T::kCheckpointRetry));
     Appendf(out,
             "recovery: %d trial restarts, %.0fs spent recovering, %d degraded stage%s, "
             "%d replan%s%s\n",
-            report.trial_restarts, report.recovery_seconds, report.degraded_stages,
-            report.degraded_stages == 1 ? "" : "s", report.replans,
-            report.replans == 1 ? "" : "s",
+            count(T::kTrialRestart), report.recovery_seconds, count(T::kStageDegraded),
+            plural(count(T::kStageDegraded)), count(T::kReplan), plural(count(T::kReplan)),
             report.jct <= options.deadline ? ", deadline met" : ", deadline MISSED");
   }
   if (options.show_stragglers) {
     Appendf(out,
             "stragglers: %d injected, %d detected (%d false positive%s), "
             "%d quarantined, %.0fs slowdown avoided for %.0fs mitigation cost\n",
-            report.stragglers_injected, report.stragglers_detected,
-            report.straggler_false_positives, report.straggler_false_positives == 1 ? "" : "s",
-            report.stragglers_quarantined, report.straggler_slowdown_avoided,
+            report.stragglers_injected, count(T::kStragglerDetected),
+            count(T::kStragglerFalsePositive), plural(count(T::kStragglerFalsePositive)),
+            count(T::kStragglerQuarantined), report.straggler_slowdown_avoided,
             report.straggler_mitigation_seconds);
   }
   if (options.show_spot) {
     Appendf(out,
             "spot: saved %s vs on-demand, %d warning%s -> %d eager checkpoint%s, "
             "%.0fs rework, %d market fallback%s\n",
-            report.spot_savings.ToString().c_str(), report.preemption_warnings,
-            report.preemption_warnings == 1 ? "" : "s", report.eager_checkpoints,
-            report.eager_checkpoints == 1 ? "" : "s", report.spot_rework_seconds,
-            report.market_fallbacks, report.market_fallbacks == 1 ? "" : "s");
+            report.spot_savings.ToString().c_str(), count(T::kPreemptionWarning),
+            plural(count(T::kPreemptionWarning)), report.eager_checkpoints,
+            plural(report.eager_checkpoints), report.spot_rework_seconds,
+            count(T::kMarketFallback), plural(count(T::kMarketFallback)));
   }
   return out;
 }

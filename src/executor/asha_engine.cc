@@ -311,7 +311,9 @@ void AshaEngine::OnInstanceLost(InstanceId instance, bool preempted) {
     job_meter_.RecordInstanceUsage(it->second, sim_.now(), 1.0, preempted);
     acquired_at_.erase(it);
   }
-  ++(preempted ? report_.preemptions : report_.crashes);
+  report_.trace.Record(sim_.now(),
+                       preempted ? TraceEventType::kPreemption : TraceEventType::kInstanceCrash,
+                       /*stage=*/-1, /*trial=*/-1, instance);
   if (!finished_ && source_ != nullptr) {
     // Replacement-only recovery: in-flight rung runs carry their own
     // trainer state, so the loss costs a provisioning round, not rework.

@@ -124,7 +124,8 @@ class AshaEngine {
   void MaybeFinish();
   void FinishRun();
   void RecordUsage(int gpus, Seconds duration);
-  // Bills the lost instance up to now and requests a replacement.
+  // Bills the lost instance up to now, records the loss (a PREEMPTION or
+  // INSTANCE_CRASH event, not stage-scoped) and requests a replacement.
   void OnInstanceLost(InstanceId instance, bool preempted);
 
   AshaPlan plan_;

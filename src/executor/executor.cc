@@ -131,8 +131,6 @@ void Executor::Start(std::function<void(ExecutionReport&)> on_done) {
   // reports every failed slot; an abandoned one (retries exhausted) means
   // capacity is not coming and the executor must degrade around the hole.
   manager_.SetFaultObserver([this](bool will_retry) {
-    ++fault_events_;
-    ++report_.provision_failures;
     report_.trace.Record(sim_.now(), TraceEventType::kProvisionFailure, current_stage_);
     // Spot capacity rejection: the observer runs before the retry is
     // scheduled, so flipping the market here redirects the retry itself —
@@ -147,10 +145,8 @@ void Executor::Start(std::function<void(ExecutionReport&)> on_done) {
       MarketFallback();
     }
     if (will_retry) {
-      ++report_.provision_retries;
       report_.trace.Record(sim_.now(), TraceEventType::kProvisionRetry, current_stage_);
     } else {
-      ++report_.capacity_shortfalls;
       report_.trace.Record(sim_.now(), TraceEventType::kProvisionGiveUp, current_stage_);
       HandleShortfall();
     }
@@ -234,7 +230,6 @@ void Executor::BeginTraining(int stage) {
   if (available < stage_gpus_) {
     stage_gpus_ =
         std::max(1, FairFloorAllocation(available, static_cast<int>(survivors_.size())));
-    ++report_.degraded_stages;
     stage_degradation_reported_ = true;
     report_.trace.Record(sim_.now(), TraceEventType::kStageDegraded, stage);
   }
@@ -411,19 +406,18 @@ void Executor::RecordIterationObservations(TrialId id) {
 }
 
 void Executor::OnStragglerFlagged(InstanceId instance) {
-  ++report_.stragglers_detected;
   report_.straggler_detection_syncs += detector_->ObservationsAtFlag(instance);
   report_.trace.Record(sim_.now(), TraceEventType::kStragglerDetected, current_stage_, -1,
                        instance);
   // Ground truth consulted to *grade* the detector, never to drive it: the
   // flag above was produced from observed latencies alone.
   if (cloud_.StragglerFactor(instance) <= 1.0) {
-    ++report_.straggler_false_positives;
     report_.trace.Record(sim_.now(), TraceEventType::kStragglerFalsePositive, current_stage_,
                          -1, instance);
   }
   if (!options_.straggler.mitigate ||
-      report_.stragglers_quarantined >= options_.straggler.max_quarantines) {
+      report_.trace.Count(TraceEventType::kStragglerQuarantined) >=
+          options_.straggler.max_quarantines) {
     return;
   }
   QuarantineInstance(instance);
@@ -435,8 +429,6 @@ void Executor::QuarantineInstance(InstanceId instance) {
   if (tracked == nodes_in_controller_.end()) {
     return;  // lost to a crash/preemption in the meantime
   }
-  ++report_.stragglers_quarantined;
-  ++fault_events_;
   report_.trace.Record(sim_.now(), TraceEventType::kStragglerQuarantined, current_stage_, -1,
                        instance);
   const double factor = cloud_.StragglerFactor(instance);
@@ -473,7 +465,6 @@ void Executor::QuarantineInstance(InstanceId instance) {
     pending_restart_.push_back(id);
     pending_since_[id] = sim_.now();
     quarantine_pending_.insert(id);
-    ++report_.trial_restarts;
     report_.trace.Record(sim_.now(), TraceEventType::kTrialRestart, current_stage_, id);
   }
   Span("quarantine", sim_.now(), sim_.now() + quarantine_cost, current_stage_, -1, instance);
@@ -626,7 +617,6 @@ void Executor::OnPreemptionWarning(InstanceId instance) {
   if (!tracked) {
     return;  // warned before the executor ever used it (mid-scale-up)
   }
-  ++report_.preemption_warnings;
   report_.trace.Record(sim_.now(), TraceEventType::kPreemptionWarning, current_stage_, -1,
                        instance);
   // Eagerly checkpoint every running trial whose gang spans the doomed
@@ -651,11 +641,9 @@ void Executor::OnPreemptionWarning(InstanceId instance) {
 }
 
 void Executor::OnInstanceLost(InstanceId instance, bool crashed) {
-  ++(crashed ? report_.crashes : report_.preemptions);
   if (finished_) {
     return;
   }
-  ++fault_events_;
   report_.trace.Record(sim_.now(),
                        crashed ? TraceEventType::kInstanceCrash : TraceEventType::kPreemption,
                        current_stage_, -1, instance);
@@ -705,7 +693,6 @@ void Executor::OnInstanceLost(InstanceId instance, bool crashed) {
     }
     pending_restart_.push_back(id);
     pending_since_[id] = sim_.now();
-    ++report_.trial_restarts;
     report_.trace.Record(sim_.now(), TraceEventType::kTrialRestart, current_stage_, id);
   }
 
@@ -759,7 +746,6 @@ void Executor::HandleShortfall() {
   // stage, even if several replacement slots are abandoned).
   replacements_exhausted_ = true;
   if (!stage_degradation_reported_) {
-    ++report_.degraded_stages;
     stage_degradation_reported_ = true;
     report_.trace.Record(sim_.now(), TraceEventType::kStageDegraded, current_stage_);
   }
@@ -830,8 +816,6 @@ Seconds Executor::FetchCheckpoint(TrialId id) {
       // recoverable condition — re-serialize from the driver's in-memory
       // replica (the trial itself restored from its last rung boundary)
       // and fetch the fresh object.
-      ++report_.checkpoint_retries;
-      ++fault_events_;
       report_.trace.Record(sim_.now(), TraceEventType::kCheckpointRetry, current_stage_, id);
       total += checkpoint_store_.Save(id, workload_.checkpoint_gb);
       latency = checkpoint_store_.Fetch(id);
@@ -841,8 +825,6 @@ Seconds Executor::FetchCheckpoint(TrialId id) {
       return total;
     }
     // Transfer failed mid-flight: the gang pays the latency again.
-    ++report_.checkpoint_retries;
-    ++fault_events_;
     report_.trace.Record(sim_.now(), TraceEventType::kCheckpointRetry, current_stage_, id);
   }
 }
@@ -862,9 +844,14 @@ void Executor::NoteRestarted(TrialId id) {
 }
 
 void Executor::MaybeReplan(int next_stage) {
-  // Gated on an observed fault: a fault-free run never re-estimates, so
+  // Gated on an observed fault (a loss, provisioning failure, quarantine or
+  // checkpoint retry in the trace): a fault-free run never re-estimates, so
   // enabling re-planning cannot perturb it.
-  if (!options_.replan.enabled || fault_events_ == 0 || next_stage >= spec_.num_stages()) {
+  using T = TraceEventType;
+  constexpr T kFaults[] = {T::kProvisionFailure, T::kStragglerQuarantined, T::kPreemption,
+                           T::kInstanceCrash, T::kCheckpointRetry};
+  if (!options_.replan.enabled || next_stage >= spec_.num_stages() ||
+      std::ranges::none_of(kFaults, [this](T type) { return report_.trace.Count(type) > 0; })) {
     return;
   }
   const Seconds remaining = options_.replan.deadline - sim_.now();
@@ -899,19 +886,16 @@ void Executor::MaybeReplan(int next_stage) {
   for (int s = next_stage; s < spec_.num_stages(); ++s) {
     plan_.gpus(s) = replanned.plan.gpus(s - next_stage);
   }
-  ++report_.replans;
   Span("plan", sim_.now(), sim_.now(), next_stage);
   report_.trace.Record(sim_.now(), TraceEventType::kReplan, next_stage);
 }
 
 void Executor::MarketFallback() {
-  if (market_fallbacks_done_ >= options_.spot.max_fallbacks ||
+  if (report_.trace.Count(TraceEventType::kMarketFallback) >= options_.spot.max_fallbacks ||
       manager_.market() != Market::kSpot) {
     return;
   }
-  ++market_fallbacks_done_;
   manager_.set_market(Market::kOnDemand);
-  ++report_.market_fallbacks;
   report_.trace.Record(sim_.now(), TraceEventType::kMarketFallback, current_stage_);
 }
 
@@ -929,7 +913,7 @@ void Executor::MaybeSwitchMarket() {
     if (!hostile && spot.HazardEnabled()) {
       const double expected = sim_.now() / spot.mean_time_to_preemption *
                               std::max(1, manager_.num_ready());
-      hostile = static_cast<double>(report_.preemptions) >
+      hostile = static_cast<double>(report_.trace.Count(TraceEventType::kPreemption)) >
                 options_.spot.hazard_tolerance * std::max(expected, 1.0);
     }
     if (hostile) {

@@ -122,9 +122,9 @@ struct ExecutorOptions {
   // the executor's historical random sampling bit-identically; compiled
   // plans substitute their own source (grid points, custom bounds).
   ConfigSource configs;
-  // Timeline spans + latency histograms (the Chrome-trace profile). Report
-  // counters always flow through the registry; this knob only adds the
-  // optional depth. Off by default so existing runs stay bit-identical.
+  // Timeline spans + latency histograms (the Chrome-trace profile). The
+  // trace and the report's counters are always kept; this knob only adds
+  // the optional depth. Off by default so existing runs stay bit-identical.
   bool observe = false;
 };
 
@@ -147,37 +147,24 @@ struct ExecutionReport {
   HyperparameterConfig best_config;
   std::vector<StageLogEntry> stage_log;
   std::vector<double> trial_throughputs;  // samples/second, per trial-stage
-  // Spot-market statistics (zero on on-demand runs).
-  int preemptions = 0;
-  int trial_restarts = 0;
-  int preemption_warnings = 0;   // reclamation warnings delivered to this job
+  // Losses, restarts, faults, straggler flags, warnings and market switches
+  // are counted from `trace` (Count(type)); the fields below hold what no
+  // event records. Spot-market statistics (zero on on-demand runs):
   int eager_checkpoints = 0;     // mid-stage saves taken inside warning windows
-  int market_fallbacks = 0;      // spot -> on-demand switches (capacity/storm/price)
   // Training seconds redone because preemptions rolled trials back to a
   // checkpoint (warning-window saves shrink this).
   Seconds spot_rework_seconds = 0.0;
   // Billed cost versus the on-demand counterfactual of the same usage
   // (positive = the spot market paid off despite the rework above).
   Money spot_savings;
-  // Fault/recovery statistics (zero on fault-free runs).
-  int crashes = 0;                // hardware crashes on ready instances
-  int provision_failures = 0;     // failed provisioning slots observed
-  int provision_retries = 0;      // backoff retries issued for them
-  int capacity_shortfalls = 0;    // slots abandoned after exhausting retries
-  int degraded_stages = 0;        // stages run below their planned GPUs
-  int replans = 0;                // mid-experiment re-plans of the remainder
   // Cache effectiveness of the fault-replan evaluators (one per replan
   // check); the tuning service folds this into its service-wide metric.
   PlannerCacheStats planner_cache;
-  int checkpoint_retries = 0;     // checkpoint fetches that needed recovery
   Seconds recovery_seconds = 0.0; // total trial time spent awaiting restart
   // Gray-failure statistics (zero unless stragglers are injected/detected).
   int stragglers_injected = 0;       // instances launched with a slowdown tag
                                      // (cloud-wide: on a multi-tenant cluster
                                      // this counts every tenant's stragglers)
-  int stragglers_detected = 0;       // instances the detector flagged
-  int stragglers_quarantined = 0;    // flagged instances checkpointed out
-  int straggler_false_positives = 0; // flags on instances that were healthy
   int64_t straggler_detection_syncs = 0;  // summed syncs-to-flag (latency)
   // Estimated gang time the quarantines saved: each evicted instance's
   // (factor-1) tax over the iterations it would still have hosted — its
@@ -198,12 +185,13 @@ struct ExecutionReport {
   int64_t asha_configurations_sampled = 0;
   int64_t asha_promotions = 0;
   int asha_rungs = 0;
-  // The metric families the fields above export (JobMetricsSum): a staged
-  // executor's executor.* and planner.* (spot.* too on a spot-market
-  // cloud), an ASHA engine's asha.* and outcome gauges.
+  // The metric families the fields above and the trace's counts export
+  // (JobMetricsSum): a staged executor's executor.* and planner.* (spot.*
+  // too on a spot-market cloud), an ASHA engine's asha.* and outcome gauges.
   bool staged_metrics = false;
   bool spot_metrics = false;
   bool asha_metrics = false;
+  // Everything the job did, in order; the count of each kind of event.
   ExecutionTrace trace;
   // As the executor finishes: only the observe-mode executor.* histograms,
   // since the cluster's owner sums the fields itself. ExecutePlan's report
@@ -419,14 +407,10 @@ class Executor {
   std::map<TrialId, int64_t> eager_checkpoint_remaining_;
   int storms_seen_ = 0;
   int capacity_rejections_seen_ = 0;
-  int market_fallbacks_done_ = 0;
 
   // Checkpoint-transfer fault stream: seeded from the job seed, so it is
   // independent of the cloud's streams and deterministic per run.
   FaultInjector checkpoint_faults_;
-  // Faults observed so far (losses, provisioning failures, checkpoint
-  // retries); gates the re-plan check so fault-free runs never re-plan.
-  int fault_events_ = 0;
   // Set when a replacement request was abandoned this stage: completions
   // then restart pending trials at degraded sizes instead of waiting for
   // capacity that is not coming.
@@ -446,9 +430,10 @@ class Executor {
   bool finished_ = false;
   ExecutionReport report_;
 
-  // Components count into report_'s plain fields; names are bound only at
-  // export (JobMetricsSum), by the cluster's owner. Latency histograms are
-  // null unless options_.observe (profile depth, not report fields).
+  // Components count into report_'s trace and plain fields; names are
+  // bound only at export (JobMetricsSum), by the cluster's owner. Latency
+  // histograms are null unless options_.observe (profile depth, not report
+  // fields).
   std::unique_ptr<Histogram> sync_wait_;
   std::unique_ptr<Histogram> stage_seconds_;
 

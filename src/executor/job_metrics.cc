@@ -27,28 +27,27 @@ struct Metric {
   T (*read)(const Report&);
 };
 
+// A counter of the report's trace: how many events of one type it holds.
+template <TraceEventType type>
+int64_t Events(const Report& r) {
+  return r.trace.Count(type);
+}
+
+using Type = TraceEventType;
+
 constexpr Metric<int64_t> kCounters[] = {
-    {"executor.preemptions", kStaged, [](const Report& r) -> int64_t { return r.preemptions; }},
-    {"executor.crashes", kStaged, [](const Report& r) -> int64_t { return r.crashes; }},
-    {"executor.trial_restarts", kStaged,
-     [](const Report& r) -> int64_t { return r.trial_restarts; }},
-    {"executor.provision_failures", kStaged,
-     [](const Report& r) -> int64_t { return r.provision_failures; }},
-    {"executor.provision_retries", kStaged,
-     [](const Report& r) -> int64_t { return r.provision_retries; }},
-    {"executor.capacity_shortfalls", kStaged,
-     [](const Report& r) -> int64_t { return r.capacity_shortfalls; }},
-    {"executor.degraded_stages", kStaged,
-     [](const Report& r) -> int64_t { return r.degraded_stages; }},
-    {"executor.replans", kStaged, [](const Report& r) -> int64_t { return r.replans; }},
-    {"executor.checkpoint_retries", kStaged,
-     [](const Report& r) -> int64_t { return r.checkpoint_retries; }},
-    {"executor.stragglers_detected", kStaged,
-     [](const Report& r) -> int64_t { return r.stragglers_detected; }},
-    {"executor.stragglers_quarantined", kStaged,
-     [](const Report& r) -> int64_t { return r.stragglers_quarantined; }},
-    {"executor.straggler_false_positives", kStaged,
-     [](const Report& r) -> int64_t { return r.straggler_false_positives; }},
+    {"executor.preemptions", kStaged, Events<Type::kPreemption>},
+    {"executor.crashes", kStaged, Events<Type::kInstanceCrash>},
+    {"executor.trial_restarts", kStaged, Events<Type::kTrialRestart>},
+    {"executor.provision_failures", kStaged, Events<Type::kProvisionFailure>},
+    {"executor.provision_retries", kStaged, Events<Type::kProvisionRetry>},
+    {"executor.capacity_shortfalls", kStaged, Events<Type::kProvisionGiveUp>},
+    {"executor.degraded_stages", kStaged, Events<Type::kStageDegraded>},
+    {"executor.replans", kStaged, Events<Type::kReplan>},
+    {"executor.checkpoint_retries", kStaged, Events<Type::kCheckpointRetry>},
+    {"executor.stragglers_detected", kStaged, Events<Type::kStragglerDetected>},
+    {"executor.stragglers_quarantined", kStaged, Events<Type::kStragglerQuarantined>},
+    {"executor.straggler_false_positives", kStaged, Events<Type::kStragglerFalsePositive>},
     {"executor.straggler_detection_syncs", kStaged,
      [](const Report& r) { return r.straggler_detection_syncs; }},
     {"executor.checkpoint_saves", kStaged, [](const Report& r) { return r.checkpoint_saves; }},
@@ -61,14 +60,12 @@ constexpr Metric<int64_t> kCounters[] = {
      [](const Report& r) { return r.planner_cache.stage_evaluations; }},
     {"planner.stage_cache_hits", kPlanner,
      [](const Report& r) { return r.planner_cache.stage_cache_hits; }},
-    {"spot.preemption_warnings", kSpot,
-     [](const Report& r) -> int64_t { return r.preemption_warnings; }},
+    {"spot.preemption_warnings", kSpot, Events<Type::kPreemptionWarning>},
     {"spot.eager_checkpoints", kSpot,
      [](const Report& r) -> int64_t { return r.eager_checkpoints; }},
-    {"spot.market_fallbacks", kSpot,
-     [](const Report& r) -> int64_t { return r.market_fallbacks; }},
+    {"spot.market_fallbacks", kSpot, Events<Type::kMarketFallback>},
     // Every preemption is a spot reclaim.
-    {"spot.preemptions", kSpot, [](const Report& r) -> int64_t { return r.preemptions; }},
+    {"spot.preemptions", kSpot, Events<Type::kPreemption>},
     {"asha.configurations_sampled", kAsha,
      [](const Report& r) { return r.asha_configurations_sampled; }},
     {"asha.promotions", kAsha, [](const Report& r) { return r.asha_promotions; }},

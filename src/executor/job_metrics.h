@@ -1,10 +1,13 @@
 // The metrics a finished job exports, read from its ExecutionReport.
 //
-// Executor and AshaEngine count into their report's plain fields (no
-// registry, no string-keyed handles). A JobMetricsSum adds finished jobs'
-// reports, in completion order, and binds the metric names once, at
-// export: the tuning service sums its fleet for the report and MetricsNow,
-// and a run that owns its cloud exports a sum of one (ExportSumOfOne).
+// Executor and AshaEngine record what happened in their report's trace and
+// keep what no event records in plain fields (no registry, no string-keyed
+// handles). An event-backed counter is the trace's count of one event type
+// when the report is added (executor.crashes is Count(kInstanceCrash)).
+// A JobMetricsSum adds finished jobs' reports, in completion order, and
+// binds the metric names once, at export: the tuning service sums its
+// fleet for the report and MetricsNow, and a run that owns its cloud
+// exports a sum of one (ExportSumOfOne).
 
 #ifndef SRC_EXECUTOR_JOB_METRICS_H_
 #define SRC_EXECUTOR_JOB_METRICS_H_

@@ -1,5 +1,6 @@
 #include "src/executor/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -76,6 +77,11 @@ std::vector<TraceEvent> ExecutionTrace::OfType(TraceEventType type) const {
     }
   }
   return matching;
+}
+
+int ExecutionTrace::Count(TraceEventType type) const {
+  return static_cast<int>(std::count_if(events_.begin(), events_.end(),
+                                        [type](const TraceEvent& e) { return e.type == type; }));
 }
 
 std::string ExecutionTrace::ToCsv() const {

@@ -3,6 +3,10 @@
 // preemptions. Exportable as CSV for offline analysis (the moral
 // equivalent of the timeline instrumentation the paper's evaluation is
 // built on).
+//
+// The trace is also a job's only record of how often each of these things
+// happened: a report's preemption, crash, restart, fault, straggler and
+// market-switch counts are Count(type) over its events.
 
 #ifndef SRC_EXECUTOR_TRACE_H_
 #define SRC_EXECUTOR_TRACE_H_
@@ -75,6 +79,9 @@ class ExecutionTrace {
 
   // Events of one type, in order.
   std::vector<TraceEvent> OfType(TraceEventType type) const;
+
+  // How many events of one type the trace holds (a scan, not a tally).
+  int Count(TraceEventType type) const;
 
   // "time,event,stage,trial,instance" rows with a header line.
   std::string ToCsv() const;

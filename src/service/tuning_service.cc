@@ -469,19 +469,20 @@ void TuningService::OnJobDone(size_t index, const ExecutionReport& report) {
   job.outcome.met_deadline = sim_.now() <= job.outcome.deadline_at + 1e-9;
   job.outcome.cost = report.cost.Total();
   job.outcome.best_accuracy = report.best_accuracy;
-  job.outcome.preemptions = report.preemptions;
-  job.outcome.preemption_warnings = report.preemption_warnings;
-  job.outcome.market_fallbacks = report.market_fallbacks;
+  const ExecutionTrace& trace = report.trace;
+  job.outcome.preemptions = trace.Count(TraceEventType::kPreemption);
+  job.outcome.preemption_warnings = trace.Count(TraceEventType::kPreemptionWarning);
+  job.outcome.market_fallbacks = trace.Count(TraceEventType::kMarketFallback);
   job.outcome.spot_savings = report.spot_savings;
   job.outcome.spot_rework_seconds = report.spot_rework_seconds;
-  job.outcome.crashes = report.crashes;
-  job.outcome.trial_restarts = report.trial_restarts;
-  job.outcome.provision_failures = report.provision_failures;
-  job.outcome.replans = report.replans;
+  job.outcome.crashes = trace.Count(TraceEventType::kInstanceCrash);
+  job.outcome.trial_restarts = trace.Count(TraceEventType::kTrialRestart);
+  job.outcome.provision_failures = trace.Count(TraceEventType::kProvisionFailure);
+  job.outcome.replans = trace.Count(TraceEventType::kReplan);
   job.outcome.recovery_seconds = report.recovery_seconds;
-  job.outcome.stragglers_detected = report.stragglers_detected;
-  job.outcome.stragglers_quarantined = report.stragglers_quarantined;
-  job.outcome.straggler_false_positives = report.straggler_false_positives;
+  job.outcome.stragglers_detected = trace.Count(TraceEventType::kStragglerDetected);
+  job.outcome.stragglers_quarantined = trace.Count(TraceEventType::kStragglerQuarantined);
+  job.outcome.straggler_false_positives = trace.Count(TraceEventType::kStragglerFalsePositive);
   job.outcome.straggler_mitigation_seconds = report.straggler_mitigation_seconds;
   retired_cache_ += report.planner_cache;
   for (const StageLogEntry& stage : report.stage_log) {

@@ -312,13 +312,11 @@ TEST(ExecutorFaults, SurvivesProvisioningFailuresAndCompletes) {
   options.seed = 11;
   const ExecutionReport report =
       ExecutePlan(spec, AllocationPlan({8, 8, 8}), ResNet101Cifar10(), cloud, options);
-  EXPECT_GT(report.provision_failures, 0);
-  EXPECT_GT(report.provision_retries, 0);
+  EXPECT_GT(report.trace.Count(TraceEventType::kProvisionFailure), 0);
+  EXPECT_GT(report.trace.Count(TraceEventType::kProvisionRetry), 0);
   EXPECT_GT(report.best_accuracy, 0.0);
   ASSERT_EQ(report.stage_log.size(), 3u);
   EXPECT_EQ(report.stage_log[2].num_trials, 2);
-  EXPECT_EQ(report.trace.OfType(TraceEventType::kProvisionFailure).size(),
-            static_cast<size_t>(report.provision_failures));
 }
 
 TEST(ExecutorFaults, RecoversCheckpointFetchFailures) {
@@ -331,7 +329,7 @@ TEST(ExecutorFaults, RecoversCheckpointFetchFailures) {
       ExecutePlan(spec, AllocationPlan({8, 8, 8}), ResNet101Cifar10(), cloud, options);
   const ExecutionReport clean =
       ExecutePlan(spec, AllocationPlan({8, 8, 8}), ResNet101Cifar10(), TestCloud(), options);
-  EXPECT_GT(faulty.checkpoint_retries, 0);
+  EXPECT_GT(faulty.trace.Count(TraceEventType::kCheckpointRetry), 0);
   // Every retry re-pays transfer latency, so the faulty run fetches more
   // bytes and finishes no earlier.
   EXPECT_GT(faulty.checkpoint_fetches, clean.checkpoint_fetches);
@@ -356,22 +354,20 @@ TEST(ExecutorFaults, CompletesFullScheduleUnderCombinedFaults) {
   EXPECT_EQ(report.stage_log[0].num_trials, 8);
   EXPECT_EQ(report.stage_log[1].num_trials, 4);
   EXPECT_EQ(report.stage_log[2].num_trials, 2);
-  EXPECT_GT(report.crashes + report.provision_failures, 0);
+  const ExecutionTrace& trace = report.trace;
+  const int crashes = trace.Count(TraceEventType::kInstanceCrash);
+  EXPECT_GT(crashes + trace.Count(TraceEventType::kProvisionFailure), 0);
   EXPECT_GT(report.best_accuracy, 0.0);
-  if (report.crashes > 0) {
-    EXPECT_EQ(report.trace.OfType(TraceEventType::kInstanceCrash).size(),
-              static_cast<size_t>(report.crashes));
-    EXPECT_GT(report.trial_restarts + report.preemptions, 0);
+  if (crashes > 0) {
+    EXPECT_GT(trace.Count(TraceEventType::kTrialRestart) + trace.Count(TraceEventType::kPreemption),
+              0);
   }
 
   // Bit-identical replay from the same seed.
   const ExecutionReport replay = ExecutePlan(spec, plan, workload, cloud, options);
   EXPECT_EQ(report.jct, replay.jct);
   EXPECT_EQ(report.cost.Total(), replay.cost.Total());
-  EXPECT_EQ(report.crashes, replay.crashes);
-  EXPECT_EQ(report.provision_failures, replay.provision_failures);
-  EXPECT_EQ(report.trial_restarts, replay.trial_restarts);
-  EXPECT_EQ(report.trace.events().size(), replay.trace.events().size());
+  EXPECT_EQ(report.trace.ToCsv(), replay.trace.ToCsv());
 }
 
 // A source that forwards to the real cloud until sabotaged, then fails
@@ -455,11 +451,10 @@ TEST(ExecutorFaults, MidStageAbandonDegradesTheRunningStageVisibly) {
   sim.Run();
   ASSERT_TRUE(done);
 
-  EXPECT_EQ(report.crashes, 1);
-  EXPECT_GT(report.capacity_shortfalls, 0);
-  EXPECT_GT(report.degraded_stages, 0);
+  EXPECT_EQ(report.trace.Count(TraceEventType::kInstanceCrash), 1);
+  EXPECT_GT(report.trace.Count(TraceEventType::kProvisionGiveUp), 0);
   const std::vector<TraceEvent> degraded = report.trace.OfType(TraceEventType::kStageDegraded);
-  ASSERT_EQ(degraded.size(), static_cast<size_t>(report.degraded_stages));
+  ASSERT_FALSE(degraded.empty());
   // The first degradation is the mid-stage abandon on stage 0, stamped
   // after the crash — not a stage-boundary shortfall.
   EXPECT_EQ(degraded.front().stage, 0);
@@ -485,17 +480,17 @@ TEST(ExecutorFaults, ZeroFaultProfileIsBitIdenticalToBaseline) {
 
   ExecutorOptions armed = baseline_options;
   armed.replan.enabled = true;
-  armed.replan.deadline = 1.0;  // absurdly tight, but gated on fault_events_
+  armed.replan.deadline = 1.0;  // absurdly tight, but gated on an observed fault
   const ExecutionReport armed_report = ExecutePlan(spec, plan, workload, TestCloud(), armed);
 
   EXPECT_EQ(baseline.jct, armed_report.jct);
   EXPECT_EQ(baseline.cost.Total(), armed_report.cost.Total());
   EXPECT_EQ(baseline.best_accuracy, armed_report.best_accuracy);
   EXPECT_EQ(baseline.trace.events().size(), armed_report.trace.events().size());
-  EXPECT_EQ(armed_report.replans, 0);
-  EXPECT_EQ(armed_report.provision_failures, 0);
-  EXPECT_EQ(armed_report.crashes, 0);
-  EXPECT_EQ(armed_report.checkpoint_retries, 0);
+  EXPECT_EQ(armed_report.trace.Count(TraceEventType::kReplan), 0);
+  EXPECT_EQ(armed_report.trace.Count(TraceEventType::kProvisionFailure), 0);
+  EXPECT_EQ(armed_report.trace.Count(TraceEventType::kInstanceCrash), 0);
+  EXPECT_EQ(armed_report.trace.Count(TraceEventType::kCheckpointRetry), 0);
 }
 
 TEST(ExecutorFaults, ReplanFiresWhenFaultDelayBurnsTheSlack) {
@@ -519,9 +514,7 @@ TEST(ExecutorFaults, ReplanFiresWhenFaultDelayBurnsTheSlack) {
   options.replan.model = ProfileWorkload(workload, profiler_options).profile;
 
   const ExecutionReport report = ExecutePlan(spec, plan, workload, faulty, options);
-  EXPECT_GT(report.replans, 0);
-  EXPECT_EQ(report.trace.OfType(TraceEventType::kReplan).size(),
-            static_cast<size_t>(report.replans));
+  EXPECT_GT(report.trace.Count(TraceEventType::kReplan), 0);
   // Re-planning never breaks the schedule itself.
   ASSERT_EQ(report.stage_log.size(), 3u);
   EXPECT_EQ(report.stage_log[2].num_trials, 2);
@@ -529,7 +522,7 @@ TEST(ExecutorFaults, ReplanFiresWhenFaultDelayBurnsTheSlack) {
   // Determinism holds with re-planning in the loop.
   const ExecutionReport replay = ExecutePlan(spec, plan, workload, faulty, options);
   EXPECT_EQ(report.jct, replay.jct);
-  EXPECT_EQ(report.replans, replay.replans);
+  EXPECT_EQ(report.trace.ToCsv(), replay.trace.ToCsv());
 }
 
 TEST(ServiceFaults, AttributesFaultsPerJobAndCompletesTheTrace) {
@@ -598,6 +591,43 @@ TEST(ServiceFaults, MixedShapesSurviveCrashesDuringScaleUp) {
     EXPECT_EQ(report.completed + report.rejected, static_cast<int>(report.jobs.size()))
         << "seed " << seed;
   }
+}
+
+TEST(ServiceFaults, AshaInstanceLossesAreTraceEvents) {
+  // An ASHA job records each instance it loses in its trace, as a staged
+  // job does: its outcome's crash and preemption counts are its trace's
+  // INSTANCE_CRASH and PREEMPTION events.
+  ServiceConfig config;
+  config.cloud.provisioning = ProvisioningModel::Fixed(30.0, 120.0);
+  config.cloud.fault.mtbf = 900.0;
+  config.capacity_gpus = 32;
+  config.seed = 1;
+  TuningService service(config);
+  for (int i = 0; i < 3; ++i) {
+    ExperimentRequest request;
+    request.name = "asha" + std::to_string(i);
+    request.workload = *FindWorkload("resnet101-cifar10");
+    request.ir.scheduler = SchedulerKind::kAsha;
+    request.ir.reduction_factor = 3;
+    request.ir.max_iters = 27;
+    request.ir.num_trials = 18;
+    request.submit_at = 60.0 * i;
+    request.deadline = 4 * 3600.0;
+    service.SubmitExperiment(request);
+  }
+  const ServiceReport report = service.Run();
+  ASSERT_EQ(report.completed, 3);
+  int losses = 0;
+  for (const JobOutcome& job : report.jobs) {
+    EXPECT_EQ(static_cast<size_t>(job.crashes),
+              job.trace.OfType(TraceEventType::kInstanceCrash).size())
+        << job.name;
+    EXPECT_EQ(static_cast<size_t>(job.preemptions),
+              job.trace.OfType(TraceEventType::kPreemption).size())
+        << job.name;
+    losses += job.crashes + job.preemptions;
+  }
+  EXPECT_GT(losses, 0);
 }
 
 }  // namespace

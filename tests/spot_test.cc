@@ -75,8 +75,8 @@ TEST(Spot, ExecutorSurvivesPreemptionsAndCompletes) {
   ExecutorOptions options;
   options.seed = 5;
   const ExecutionReport report = ExecutePlan(spec, plan, workload, cloud, options);
-  EXPECT_GT(report.preemptions, 0);
-  EXPECT_GT(report.trial_restarts, 0);
+  EXPECT_GT(report.trace.Count(TraceEventType::kPreemption), 0);
+  EXPECT_GT(report.trace.Count(TraceEventType::kTrialRestart), 0);
   EXPECT_GT(report.best_accuracy, 0.5);
   EXPECT_EQ(report.stage_log.size(), 3u);
 }
@@ -105,8 +105,8 @@ TEST(Spot, RareReclamationMatchesOnDemandBehaviour) {
   const AllocationPlan plan({4, 4});
   const CloudProfile cloud = SpotCloud(/*mean_time_to_preemption=*/1e9);
   const ExecutionReport report = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud);
-  EXPECT_EQ(report.preemptions, 0);
-  EXPECT_EQ(report.trial_restarts, 0);
+  EXPECT_EQ(report.trace.Count(TraceEventType::kPreemption), 0);
+  EXPECT_EQ(report.trace.Count(TraceEventType::kTrialRestart), 0);
 }
 
 TEST(Spot, DeterministicForFixedSeed) {
@@ -119,7 +119,7 @@ TEST(Spot, DeterministicForFixedSeed) {
   const ExecutionReport b =
       ExecutePlan(spec, plan, ResNet101Cifar10(), SpotCloud(240.0), options);
   EXPECT_DOUBLE_EQ(a.jct, b.jct);
-  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.trace.ToCsv(), b.trace.ToCsv());
   EXPECT_EQ(a.cost.Total(), b.cost.Total());
 }
 
@@ -275,7 +275,7 @@ TEST(Spot, ZeroHazardNeverReclaimsButStillDiscounts) {
   const AllocationPlan plan({4, 4});
   CloudProfile cloud = SpotCloud(/*mean_time_to_preemption=*/0.0);
   const ExecutionReport report = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud);
-  EXPECT_EQ(report.preemptions, 0);
+  EXPECT_EQ(report.trace.Count(TraceEventType::kPreemption), 0);
   EXPECT_GT(report.spot_savings.dollars(), 0.0);
 }
 
@@ -306,9 +306,9 @@ TEST(Spot, ZeroVolatilityMarketIsBitIdenticalToOnDemand) {
 
   EXPECT_EQ(spot.jct, baseline.jct);
   EXPECT_EQ(spot.cost.Total(), baseline.cost.Total());
-  EXPECT_EQ(spot.preemptions, 0);
-  EXPECT_EQ(spot.preemption_warnings, 0);
-  EXPECT_EQ(spot.market_fallbacks, 0);
+  EXPECT_EQ(spot.trace.Count(TraceEventType::kPreemption), 0);
+  EXPECT_EQ(spot.trace.Count(TraceEventType::kPreemptionWarning), 0);
+  EXPECT_EQ(spot.trace.Count(TraceEventType::kMarketFallback), 0);
   EXPECT_EQ(spot.spot_savings, Money());
   EXPECT_EQ(spot.best_accuracy, baseline.best_accuracy);
 }
@@ -336,10 +336,10 @@ TEST(Spot, WarningWindowCutsReworkVersusUnannouncedReclaims) {
   const ExecutionReport silent =
       ExecutePlan(spec, plan, ResNet101Cifar10(), silent_cloud, options);
 
-  EXPECT_GT(warned.preemptions, 0);
-  EXPECT_GT(warned.preemption_warnings, 0);
+  EXPECT_GT(warned.trace.Count(TraceEventType::kPreemption), 0);
+  EXPECT_GT(warned.trace.Count(TraceEventType::kPreemptionWarning), 0);
   EXPECT_GT(warned.eager_checkpoints, 0);
-  EXPECT_EQ(silent.preemption_warnings, 0);
+  EXPECT_EQ(silent.trace.Count(TraceEventType::kPreemptionWarning), 0);
   EXPECT_EQ(silent.eager_checkpoints, 0);
   // Eager checkpoints bound each loss to at most the warning window, so the
   // warned run re-does strictly less work and finishes sooner.
@@ -364,7 +364,7 @@ TEST(Spot, WarningRacingStageCompletionStaysDeterministic) {
   const ExecutionReport b = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud, options);
   EXPECT_DOUBLE_EQ(a.jct, b.jct);
   EXPECT_EQ(a.cost.Total(), b.cost.Total());
-  EXPECT_EQ(a.preemption_warnings, b.preemption_warnings);
+  EXPECT_EQ(a.trace.ToCsv(), b.trace.ToCsv());
   EXPECT_EQ(a.eager_checkpoints, b.eager_checkpoints);
   EXPECT_DOUBLE_EQ(a.spot_rework_seconds, b.spot_rework_seconds);
   EXPECT_GT(a.best_accuracy, 0.5);
@@ -378,7 +378,7 @@ TEST(Spot, CapacityCrunchFallsBackToOnDemandAndCompletes) {
   ExecutorOptions options;
   options.seed = 6;
   const ExecutionReport report = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud, options);
-  EXPECT_GE(report.market_fallbacks, 1);
+  EXPECT_GE(report.trace.Count(TraceEventType::kMarketFallback), 1);
   EXPECT_GT(report.best_accuracy, 0.5);
   bool traced_fallback = false;
   for (const TraceEvent& event : report.trace.events()) {
@@ -396,9 +396,9 @@ TEST(Spot, StormMidStageTriggersFallbackAndTheGangRecovers) {
   ExecutorOptions options;
   options.seed = 8;
   const ExecutionReport report = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud, options);
-  EXPECT_GT(report.preemptions, 0);
-  EXPECT_GT(report.trial_restarts, 0);
-  EXPECT_GE(report.market_fallbacks, 1);
+  EXPECT_GT(report.trace.Count(TraceEventType::kPreemption), 0);
+  EXPECT_GT(report.trace.Count(TraceEventType::kTrialRestart), 0);
+  EXPECT_GE(report.trace.Count(TraceEventType::kMarketFallback), 1);
   EXPECT_GT(report.best_accuracy, 0.5);
   EXPECT_EQ(report.stage_log.size(), 3u);
 }
@@ -428,7 +428,7 @@ TEST(Spot, PriceChangesAndWarningsAppearInTheTrace) {
     }
   }
   EXPECT_GT(price_changes, 0);
-  EXPECT_EQ(warnings, report.preemption_warnings);
+  EXPECT_EQ(warnings, report.trace.Count(TraceEventType::kPreemptionWarning));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -315,9 +316,9 @@ TEST(StragglerExecutor, ZeroRateWithPolicyArmedIsBitIdenticalToBaseline) {
   EXPECT_EQ(baseline.best_accuracy, armed.best_accuracy);
   EXPECT_EQ(baseline.trace.events().size(), armed.trace.events().size());
   EXPECT_EQ(armed.stragglers_injected, 0);
-  EXPECT_EQ(armed.stragglers_detected, 0);
-  EXPECT_EQ(armed.stragglers_quarantined, 0);
-  EXPECT_EQ(armed.straggler_false_positives, 0);
+  EXPECT_EQ(armed.trace.Count(TraceEventType::kStragglerDetected), 0);
+  EXPECT_EQ(armed.trace.Count(TraceEventType::kStragglerQuarantined), 0);
+  EXPECT_EQ(armed.trace.Count(TraceEventType::kStragglerFalsePositive), 0);
   EXPECT_EQ(armed.straggler_mitigation_seconds, 0.0);
 }
 
@@ -338,10 +339,10 @@ TEST(StragglerExecutor, DetectionIsObservationOnly) {
     EXPECT_EQ(plain.cost.Total(), watched.cost.Total()) << "seed " << seed;
     EXPECT_EQ(plain.best_accuracy, watched.best_accuracy) << "seed " << seed;
     EXPECT_EQ(plain.stragglers_injected, watched.stragglers_injected) << "seed " << seed;
-    EXPECT_EQ(watched.stragglers_quarantined, 0);
+    EXPECT_EQ(watched.trace.Count(TraceEventType::kStragglerQuarantined), 0);
     total_injected += watched.stragglers_injected;
-    total_detected += watched.stragglers_detected;
-    total_false_positives += watched.straggler_false_positives;
+    total_detected += watched.trace.Count(TraceEventType::kStragglerDetected);
+    total_false_positives += watched.trace.Count(TraceEventType::kStragglerFalsePositive);
   }
   EXPECT_GT(total_injected, 0);
   EXPECT_GT(total_detected, 0);
@@ -359,16 +360,17 @@ TEST(StragglerExecutor, MitigationBeatsNoMitigationUnderSevereStragglers) {
     const ExecutionReport on = RunExecutor(seed, 0.4, 3.0, true, true);
     unmitigated_jct += off.jct;
     mitigated_jct += on.jct;
-    total_quarantined += on.stragglers_quarantined;
-    total_false_positives += on.straggler_false_positives;
+    total_quarantined += on.trace.Count(TraceEventType::kStragglerQuarantined);
+    total_false_positives += on.trace.Count(TraceEventType::kStragglerFalsePositive);
     total_mitigation_cost += on.straggler_mitigation_seconds;
-    EXPECT_LE(on.stragglers_quarantined, on.stragglers_detected);
-    EXPECT_LE(on.stragglers_detected, on.stragglers_injected);
-    // Every quarantine leaves a matching pair of trace events.
-    EXPECT_EQ(on.trace.OfType(TraceEventType::kStragglerQuarantined).size(),
-              static_cast<size_t>(on.stragglers_quarantined));
-    EXPECT_EQ(on.trace.OfType(TraceEventType::kStragglerDetected).size(),
-              static_cast<size_t>(on.stragglers_detected));
+    const std::vector<TraceEvent> detected = on.trace.OfType(TraceEventType::kStragglerDetected);
+    EXPECT_LE(static_cast<int>(detected.size()), on.stragglers_injected);
+    // Every quarantine follows a detection of the same instance.
+    for (const TraceEvent& quarantine : on.trace.OfType(TraceEventType::kStragglerQuarantined)) {
+      EXPECT_TRUE(std::any_of(detected.begin(), detected.end(), [&](const TraceEvent& flag) {
+        return flag.instance == quarantine.instance && flag.time <= quarantine.time;
+      })) << "seed " << seed << " instance " << quarantine.instance;
+    }
   }
   EXPECT_GT(total_quarantined, 0);
   EXPECT_EQ(total_false_positives, 0);
@@ -387,8 +389,8 @@ TEST(StragglerExecutor, MildSlowdownBelowThresholdIsNeverFlagged) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const ExecutionReport report = RunExecutor(seed, 1.0, 1.2, true, true);
     EXPECT_GT(report.stragglers_injected, 0) << "seed " << seed;
-    EXPECT_EQ(report.stragglers_detected, 0) << "seed " << seed;
-    EXPECT_EQ(report.stragglers_quarantined, 0) << "seed " << seed;
+    EXPECT_EQ(report.trace.Count(TraceEventType::kStragglerDetected), 0) << "seed " << seed;
+    EXPECT_EQ(report.trace.Count(TraceEventType::kStragglerQuarantined), 0) << "seed " << seed;
   }
 }
 
@@ -406,7 +408,7 @@ TEST(StragglerExecutor, QuarantineBudgetBoundsMitigation) {
   options.straggler.mitigate = true;
   options.straggler.max_quarantines = 1;
   const ExecutionReport report = ExecutePlan(spec, plan, workload, cloud, options);
-  EXPECT_LE(report.stragglers_quarantined, 1);
+  EXPECT_LE(report.trace.Count(TraceEventType::kStragglerQuarantined), 1);
 }
 
 // ---------------------------------------------------------------------------

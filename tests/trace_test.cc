@@ -43,6 +43,20 @@ TEST(Trace, OfTypeFilters) {
   EXPECT_EQ(trace.OfType(TraceEventType::kSync).size(), 0u);
 }
 
+TEST(Trace, CountIsTheNumberOfEventsOfEachType) {
+  ExecutionTrace trace;
+  for (int i = 0; i < kNumTraceEventTypes; ++i) {
+    for (int copy = 0; copy < i % 3; ++copy) {
+      trace.Record(i + 0.5 * copy, static_cast<TraceEventType>(i), 0);
+    }
+  }
+  for (int i = 0; i < kNumTraceEventTypes; ++i) {
+    const auto type = static_cast<TraceEventType>(i);
+    EXPECT_EQ(trace.Count(type), i % 3) << ToString(type);
+  }
+  EXPECT_EQ(ExecutionTrace().Count(TraceEventType::kPreemption), 0);
+}
+
 TEST(Trace, ExecutorEmitsCoherentEventLog) {
   const ExperimentSpec spec = MakeSha(8, 2, 14, 2);
   const ExecutionReport report =
@@ -265,11 +279,8 @@ TEST(Trace, PreemptionsAreInstanceScopedAndRestartsTrialScoped) {
   options.seed = 5;
   const ExecutionReport report = ExecutePlan(MakeSha(8, 2, 14, 2), AllocationPlan({8, 8, 8}),
                                              ResNet101Cifar10(), cloud, options);
-  ASSERT_GT(report.preemptions, 0);
-  ASSERT_GT(report.trial_restarts, 0);
-
   const std::vector<TraceEvent> preemptions = report.trace.OfType(TraceEventType::kPreemption);
-  EXPECT_EQ(preemptions.size(), static_cast<size_t>(report.preemptions));
+  ASSERT_FALSE(preemptions.empty());
   for (const TraceEvent& event : preemptions) {
     EXPECT_GE(event.instance, 0) << "preemption events name the reclaimed instance";
     EXPECT_EQ(event.trial, -1);
@@ -277,7 +288,7 @@ TEST(Trace, PreemptionsAreInstanceScopedAndRestartsTrialScoped) {
   }
 
   const std::vector<TraceEvent> restarts = report.trace.OfType(TraceEventType::kTrialRestart);
-  EXPECT_EQ(restarts.size(), static_cast<size_t>(report.trial_restarts));
+  ASSERT_FALSE(restarts.empty());
   for (const TraceEvent& event : restarts) {
     EXPECT_GE(event.trial, 0) << "restart events name the restarted trial";
     EXPECT_EQ(event.instance, -1);

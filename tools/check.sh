@@ -35,11 +35,12 @@
 # ThreadSanitizer via the tsan ctest label (-DRB_TSAN_SUITE=ON).
 #
 # tools/check.sh --chaos runs the front-door durability tier in the
-# default build tree: the WAL torn-write recovery matrix, the drain →
-# WAL resume identity tests, and the idempotency suites (ctest -R), then
-# bench/chaos_server across three seeds — a
+# default build tree through ctest -R: the WAL torn-write recovery matrix,
+# the drain → WAL resume identity tests, the idempotency suites, and
+# BenchBaseline.ChaosServer — bench/chaos_server across seeds 11–13, a
 # seeded kill/restart schedule whose final report must be byte-identical
-# to the uninterrupted run.
+# to the uninterrupted run, with its JSON compared byte for byte against
+# the checked-in BENCH_chaos.json (the default tier runs that entry too).
 #
 # tools/check.sh --perf runs the control-plane/DES-kernel throughput
 # gate in the default build tree: the EventQueue and RngIdentity suites and
@@ -92,7 +93,6 @@ fi
 
 build_dir=build
 budget_s=""
-chaos_bench=""
 perf_bench=""
 spot_bench=""
 cmake_args=()
@@ -118,8 +118,7 @@ elif [[ "${1:-}" == "--conformance" ]]; then
 elif [[ "${1:-}" == "--server" ]]; then
   ctest_args+=(-L server)
 elif [[ "${1:-}" == "--chaos" ]]; then
-  ctest_args+=(-R "Wal|Idempotency|ServerFault|SnapshotRestore|SurviveRestore|DrainPersists")
-  chaos_bench=1
+  ctest_args+=(-R "Wal|Idempotency|ServerFault|SnapshotRestore|SurviveRestore|DrainPersists|ChaosServer")
 elif [[ "${1:-}" == "--perf" ]]; then
   ctest_args+=(-R "EventQueue|RngIdentity|AllocationBudget")
   perf_bench=1
@@ -147,10 +146,6 @@ fi
 cd "$build_dir"
 test_start=$SECONDS
 ctest --output-on-failure "${ctest_args[@]}" -j
-if [[ -n "$chaos_bench" ]]; then
-  echo "=== bench/chaos_server: seeded kill/restart byte-identity ==="
-  ./bench/chaos_server --seeds=3 --jobs=12 --kill-rate=0.3
-fi
 if [[ -n "$perf_bench" ]]; then
   echo "=== bench/micro_simulator --json: kernel events/s, allocation check, random-engine gate ==="
   ./bench/micro_simulator --json "$(mktemp)"

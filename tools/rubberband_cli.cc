@@ -342,8 +342,8 @@ int RunExecuteCompiled(const Flags& flags, CliSetup& setup) {
   if (report.units.size() == 1) {
     ExecutionFormatOptions format;
     format.show_faults = setup.cloud.fault.Any();
-    format.show_stragglers =
-        setup.cloud.fault.straggler_rate > 0.0 || report.units[0].stragglers_detected > 0;
+    format.show_stragglers = setup.cloud.fault.straggler_rate > 0.0 ||
+                             report.units[0].trace.Count(TraceEventType::kStragglerDetected) > 0;
     format.show_spot = setup.cloud.spot.enabled;
     format.deadline = setup.deadline;
     std::fputs(FormatExecutionSummary(report.units[0], format).c_str(), stdout);
@@ -436,8 +436,8 @@ int RunExecute(const Flags& flags, CliSetup& setup) {
                                          options);
   ExecutionFormatOptions format;
   format.show_faults = setup.cloud.fault.Any();
-  format.show_stragglers =
-      setup.cloud.fault.straggler_rate > 0.0 || report.stragglers_detected > 0;
+  format.show_stragglers = setup.cloud.fault.straggler_rate > 0.0 ||
+                           report.trace.Count(TraceEventType::kStragglerDetected) > 0;
   format.show_spot = setup.cloud.spot.enabled;
   format.deadline = setup.deadline;
   std::fputs(FormatExecutionSummary(report, format).c_str(), stdout);
