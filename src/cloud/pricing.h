@@ -59,14 +59,10 @@ struct SpotMarket {
   // random walk around the discounted base price. Every price_interval_s
   // the multiplier takes a log-normal step of scale `volatility` (tripled,
   // with upward drift, while the market is in its turbulent regime), then
-  // clamps to [price_floor, price_cap]. volatility == 0 keeps the trace
-  // flat at 1.0 and forks no price stream.
+  // clamps to SpotPriceTrace's [kPriceFloor, kPriceCap]. volatility == 0
+  // keeps the trace flat at 1.0 and forks no price stream.
   double volatility = 0.0;
   Seconds price_interval_s = 300.0;
-  double price_floor = 0.5;
-  double price_cap = 2.5;
-  // Per-step probability of flipping between the calm and turbulent regime.
-  double regime_flip_probability = 0.05;
 
   // Couples the per-instance reclamation hazard to the price multiplier
   // sampled at launch: the expected lifetime scales as multiplier^coupling,

@@ -15,7 +15,7 @@ double SpotPriceTrace::Step(Seconds now) {
   if (now < breakpoints_.back().first) {
     throw std::logic_error("spot price trace stepped backwards in time");
   }
-  if (rng_.Uniform(0.0, 1.0) < market_.regime_flip_probability) {
+  if (rng_.Uniform(0.0, 1.0) < kRegimeFlipProbability) {
     turbulent_ = !turbulent_;
   }
   // Turbulent regime: larger steps with an upward drift — the shape of a
@@ -23,7 +23,7 @@ double SpotPriceTrace::Step(Seconds now) {
   const double scale = market_.volatility * (turbulent_ ? 3.0 : 1.0);
   const double drift = turbulent_ ? market_.volatility : 0.0;
   double multiplier = breakpoints_.back().second * std::exp(rng_.Normal(drift, scale));
-  multiplier = std::clamp(multiplier, market_.price_floor, market_.price_cap);
+  multiplier = std::clamp(multiplier, kPriceFloor, kPriceCap);
   breakpoints_.emplace_back(now, multiplier);
   return multiplier;
 }

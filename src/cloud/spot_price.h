@@ -1,7 +1,7 @@
 // SpotPriceTrace: deterministic time-varying spot price multiplier.
 //
 // The trace is a regime-switching multiplicative random walk (calm vs
-// turbulent, SpotMarket::regime_flip_probability per step) advanced by the
+// turbulent, flipping with kRegimeFlipProbability per step) advanced by the
 // cloud's market clock. It remembers every breakpoint it produced, so
 // billing can integrate the exact piecewise-constant price over an
 // instance's lifetime instead of sampling it at termination — two instances
@@ -21,6 +21,12 @@ namespace rubberband {
 
 class SpotPriceTrace {
  public:
+  // Every step clamps the multiplier to [kPriceFloor, kPriceCap].
+  static constexpr double kPriceFloor = 0.5;
+  static constexpr double kPriceCap = 2.5;
+  // Per-step probability of flipping between the calm and turbulent regime.
+  static constexpr double kRegimeFlipProbability = 0.05;
+
   SpotPriceTrace(const SpotMarket& market, Rng rng);
 
   // Advances the walk by one step taking effect at `now` (which must not

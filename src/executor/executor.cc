@@ -20,6 +20,17 @@ RetryPolicy MergedRetry(const ExecutorOptions& options) {
   return retry;
 }
 
+// Spot-market hedging (MaybeSwitchMarket): at a stage boundary a job on
+// spot goes on-demand at or above the fallback price multiplier, or when
+// realized preemptions exceed kHazardTolerance x what the profile's mean
+// time to preemption predicts; it returns at or below the give-back
+// multiplier. At most kMaxMarketFallbacks switches to on-demand, so a
+// flapping market cannot thrash the job.
+constexpr double kFallbackPriceMultiplier = 1.6;
+constexpr double kGiveBackPriceMultiplier = 1.2;
+constexpr double kHazardTolerance = 3.0;
+constexpr int kMaxMarketFallbacks = 8;
+
 }  // namespace
 
 Executor::Executor(const ExperimentSpec& spec, const AllocationPlan& plan,
@@ -38,7 +49,7 @@ Executor::Executor(const ExperimentSpec& spec, const AllocationPlan& plan,
   spec_.Validate();
   plan_.Validate(spec_.num_stages());
   if (options_.straggler.detect || options_.straggler.mitigate) {
-    detector_ = std::make_unique<StragglerDetector>(options_.straggler.detector);
+    detector_ = std::make_unique<StragglerDetector>(StragglerDetectorConfig{});
   }
   if (options_.observe) {
     sync_wait_ = std::make_unique<Histogram>(DefaultLatencyBucketsNs());
@@ -138,8 +149,7 @@ void Executor::Start(std::function<void(ExecutionReport&)> on_done) {
     // schedule for nothing. (On a shared cloud the rejection counter moves
     // for every tenant; a fallback prompted by a neighbour's rejection is
     // a benign over-reaction while the family is exhausted anyway.)
-    if (options_.spot.market_fallback && cloud_.profile().spot.enabled &&
-        manager_.market() == Market::kSpot &&
+    if (cloud_.profile().spot.enabled && manager_.market() == Market::kSpot &&
         cloud_.num_capacity_rejections() > capacity_rejections_seen_) {
       capacity_rejections_seen_ = cloud_.num_capacity_rejections();
       MarketFallback();
@@ -698,7 +708,7 @@ void Executor::OnInstanceLost(InstanceId instance, bool crashed) {
 
   // A reclamation storm just swept the family: replacement capacity (and
   // everything after) goes on-demand rather than back into the blast zone.
-  if (!crashed && options_.spot.market_fallback && cloud_.profile().spot.enabled &&
+  if (!crashed && cloud_.profile().spot.enabled &&
       manager_.market() == Market::kSpot && cloud_.num_storms() > storms_seen_) {
     storms_seen_ = cloud_.num_storms();
     MarketFallback();
@@ -891,7 +901,7 @@ void Executor::MaybeReplan(int next_stage) {
 }
 
 void Executor::MarketFallback() {
-  if (report_.trace.Count(TraceEventType::kMarketFallback) >= options_.spot.max_fallbacks ||
+  if (report_.trace.Count(TraceEventType::kMarketFallback) >= kMaxMarketFallbacks ||
       manager_.market() != Market::kSpot) {
     return;
   }
@@ -901,7 +911,7 @@ void Executor::MarketFallback() {
 
 void Executor::MaybeSwitchMarket() {
   const SpotMarket& spot = cloud_.profile().spot;
-  if (!spot.enabled || !options_.spot.market_fallback) {
+  if (!spot.enabled) {
     return;
   }
   const double price = cloud_.SpotPriceMultiplier();
@@ -909,17 +919,17 @@ void Executor::MaybeSwitchMarket() {
     // Hostile-market check at the stage boundary (the natural reallocation
     // point): a price spike, or realized preemptions far above what the
     // profile's mean time to preemption predicts.
-    bool hostile = price >= options_.spot.fallback_price_multiplier;
+    bool hostile = price >= kFallbackPriceMultiplier;
     if (!hostile && spot.HazardEnabled()) {
       const double expected = sim_.now() / spot.mean_time_to_preemption *
                               std::max(1, manager_.num_ready());
       hostile = static_cast<double>(report_.trace.Count(TraceEventType::kPreemption)) >
-                options_.spot.hazard_tolerance * std::max(expected, 1.0);
+                kHazardTolerance * std::max(expected, 1.0);
     }
     if (hostile) {
       MarketFallback();
     }
-  } else if (price <= options_.spot.give_back_price_multiplier) {
+  } else if (price <= kGiveBackPriceMultiplier) {
     // The market calmed down: future capacity goes back to spot. Absorb
     // any storms/rejections that happened while we were away so stale
     // events cannot immediately re-trigger the fallback.
@@ -1072,13 +1082,15 @@ ExecutionReport ExecutePlan(const ExperimentSpec& spec, const AllocationPlan& pl
     if (cloud_profile.spot.enabled) {
       report.spot_savings = cloud.OnDemandEquivalentCost().Total() - report.cost.Total();
     }
-    ExportSumOfOne(cloud, &report);
     finished = &report;
   });
   sim.Run();
   if (finished == nullptr) {
     throw std::logic_error("simulation drained without completing the experiment");
   }
+  // Export once drained: provisioning callbacks that fire after the finish
+  // still append to the trace, and the metrics count the whole trace.
+  ExportSumOfOne(cloud, finished);
   // The executor is done, so hand its report (trace, timeline, metrics
   // snapshot) to the caller without a deep copy.
   return std::move(*finished);

@@ -69,31 +69,8 @@ struct ReplanPolicy {
 struct StragglerPolicy {
   bool detect = false;
   bool mitigate = false;  // implies detection
-  StragglerDetectorConfig detector;
   // Max instances quarantined per job (mitigation budget).
   int max_quarantines = 4;
-};
-
-// Spot-market hedging (consulted only when the cloud profile's spot market
-// is enabled). The executor requests spot capacity by default and falls
-// back to on-demand when the market turns hostile: a capacity rejection, a
-// reclamation storm, or a price spike observed at a stage boundary. Each
-// switch is a MARKET_FALLBACK trace event; switches are bounded so a
-// flapping market cannot thrash the job.
-struct SpotPolicy {
-  // Master switch for the fallback logic (eager pre-preemption checkpoints
-  // stay on regardless — they only ever reduce lost work).
-  bool market_fallback = true;
-  // Stage-boundary price hysteresis: above `fallback`, new capacity goes
-  // on-demand; once back below `give_back`, the job returns to spot.
-  double fallback_price_multiplier = 1.6;
-  double give_back_price_multiplier = 1.2;
-  // Observed-hazard fallback: switch when realized preemptions exceed this
-  // multiple of what the profile's mean-time-to-preemption predicts.
-  double hazard_tolerance = 3.0;
-  // Budget on market switches (spot -> on-demand); after this many the job
-  // stays wherever it is.
-  int max_fallbacks = 8;
 };
 
 struct ExecutorOptions {
@@ -115,9 +92,6 @@ struct ExecutorOptions {
   ReplanPolicy replan;
   // Persistent-straggler detection and checkpoint-based mitigation.
   StragglerPolicy straggler;
-  // Spot-market hedging: eager pre-preemption checkpoints and on-demand
-  // fallback under capacity crunch.
-  SpotPolicy spot;
   // Where the initial trial configurations come from. The default replays
   // the executor's historical random sampling bit-identically; compiled
   // plans substitute their own source (grid points, custom bounds).
@@ -303,7 +277,7 @@ class Executor {
   // once the price calms down. No-op unless the profile has a spot market.
   void MaybeSwitchMarket();
   // Point future provisioning at the on-demand market (capacity rejection,
-  // storm, or price spike); bounded by SpotPolicy::max_fallbacks.
+  // storm, or price spike); bounded by kMaxMarketFallbacks (executor.cc).
   void MarketFallback();
   // Billing multiplier of this job's hold of `id` over [acquired, now]:
   // spot discount x the trace's average price for spot instances, 1.0

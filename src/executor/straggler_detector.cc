@@ -11,17 +11,17 @@ bool StragglerDetector::Observe(InstanceId id, double normalized_latency) {
   // not spend min_observations syncs climbing out of an artificial hole.
   track.ewma = track.observations == 0
                    ? normalized_latency
-                   : config_.ewma_alpha * normalized_latency +
-                         (1.0 - config_.ewma_alpha) * track.ewma;
+                   : kEwmaAlpha * normalized_latency +
+                         (1.0 - kEwmaAlpha) * track.ewma;
   ++track.observations;
   if (track.flagged) {
     return false;
   }
   const double baseline = Baseline();
-  const bool over = num_tracked() >= config_.min_instances && baseline > 0.0 &&
-                    track.ewma > baseline * config_.threshold;
+  const bool over = num_tracked() >= kMinInstances && baseline > 0.0 &&
+                    track.ewma > baseline * kThreshold;
   track.consecutive_over = over ? track.consecutive_over + 1 : 0;
-  if (track.consecutive_over >= config_.consecutive_syncs &&
+  if (track.consecutive_over >= kConsecutiveSyncs &&
       track.observations >= config_.min_observations) {
     track.flagged = true;
     track.observations_at_flag = track.observations;

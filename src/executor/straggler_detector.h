@@ -28,21 +28,24 @@
 namespace rubberband {
 
 struct StragglerDetectorConfig {
-  // EWMA smoothing weight of the newest observation.
-  double ewma_alpha = 0.3;
-  // Flag when ewma > median_ewma * threshold ...
-  double threshold = 1.5;
-  // ... for this many consecutive syncs ...
-  int consecutive_syncs = 3;
-  // ... and the instance has at least this many observations (warmup), ...
+  // Warmup: an instance is flagged only once it has at least this many
+  // observations (see the criterion below).
   int min_observations = 4;
-  // ... and at least this many instances are tracked (no meaningful median
-  // baseline exists below two).
-  int min_instances = 2;
 };
 
 class StragglerDetector {
  public:
+  // EWMA smoothing weight of the newest observation.
+  static constexpr double kEwmaAlpha = 0.3;
+  // Flag when ewma > median_ewma * kThreshold ...
+  static constexpr double kThreshold = 1.5;
+  // ... for this many consecutive syncs, once the instance has at least
+  // the config's min_observations (warmup), ...
+  static constexpr int kConsecutiveSyncs = 3;
+  // ... while at least this many instances are tracked (no meaningful
+  // median baseline exists below two).
+  static constexpr int kMinInstances = 2;
+
   explicit StragglerDetector(StragglerDetectorConfig config) : config_(config) {}
 
   // Records one normalized iteration latency (observed / expected) for the

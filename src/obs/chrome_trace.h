@@ -62,8 +62,6 @@ class ChromeTraceBuilder {
 
   void SetProcessName(int pid, const std::string& name);
 
-  size_t num_events() const { return events_.size(); }
-
   // The trace-event JSON document ({"traceEvents": [...], ...}); metadata
   // events first, then payload events in insertion order. Timestamps are
   // microseconds on the simulation clock.

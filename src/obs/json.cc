@@ -76,9 +76,8 @@ class JsonParser {
     SkipWhitespace();
     switch (Peek()) {
       case '{':
-        return ParseObject();
       case '[':
-        return ParseArray();
+        return ParseNested();
       case '"':
         return JsonValue::MakeString(ParseString());
       case 't':
@@ -93,6 +92,17 @@ class JsonParser {
       default:
         return ParseNumber();
     }
+  }
+
+  // Arrays and objects recurse: the depth bound keeps untrusted input (every
+  // wire request) from exhausting the stack with a long run of '['.
+  JsonValue ParseNested() {
+    if (++depth_ > kMaxDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    JsonValue value = text_[pos_] == '{' ? ParseObject() : ParseArray();
+    --depth_;
+    return value;
   }
 
   JsonValue ParseObject() {
@@ -226,8 +236,11 @@ class JsonParser {
     return JsonValue::MakeNumber(value);
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue JsonValue::Parse(const std::string& text) { return JsonParser(text).Parse(); }

@@ -21,8 +21,9 @@ class JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   // Parses one JSON document (object, array, or scalar) with optional
-  // trailing whitespace. Throws std::invalid_argument on malformed input,
-  // with a byte offset in the message.
+  // trailing whitespace. Throws std::invalid_argument on malformed input
+  // (arrays and objects nested more than 64 deep included), with a byte
+  // offset in the message.
   static JsonValue Parse(const std::string& text);
 
   Type type() const { return type_; }

@@ -87,7 +87,6 @@ struct HistogramSnapshot {
   // in the overflow bucket report the highest finite bound (a lower bound
   // on the true quantile — size the buckets to cover the expected range).
   double QuantileNs(double q) const;
-  double QuantileSeconds(double q) const { return QuantileNs(q) / 1e9; }
 
   bool operator==(const HistogramSnapshot& other) const = default;
 };

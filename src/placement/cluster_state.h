@@ -36,7 +36,6 @@ class PlacementPlan {
  public:
   void Assign(TrialId trial, PlacementNodeId node, int gpus);
   void RemoveTrial(TrialId trial);
-  void Clear() { assignments_.clear(); }
 
   bool HasTrial(TrialId trial) const { return assignments_.count(trial) > 0; }
   int TrialGpus(TrialId trial) const;

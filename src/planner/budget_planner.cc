@@ -77,7 +77,7 @@ PlannedJob PlanGreedyMinTime(PlanEvaluator& evaluator, Money budget) {
       const int cur = current.plan.gpus(i);
       std::vector<int> steps;
       const int fair_step = NextHigherFairAllocation(cur, trials);
-      const int cap = std::min(trials * options.max_gpus_per_trial, options.max_total_gpus);
+      const int cap = std::min(trials * kMaxGpusPerTrial, options.max_total_gpus);
       if (fair_step <= cap) {
         steps.push_back(fair_step);
       }

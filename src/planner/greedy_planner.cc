@@ -36,6 +36,10 @@
 namespace rubberband {
 namespace {
 
+// Algorithm 2's delta: stop when the best candidate improves cost by less
+// than this relative amount.
+constexpr double kMinRelativeImprovement = 1e-6;
+
 struct Evaluated {
   AllocationPlan plan;
   PlanEstimate estimate;
@@ -44,7 +48,6 @@ struct Evaluated {
 // One run of the greedy descent from a feasible warm start.
 Evaluated Optimize(PlanEvaluator& evaluator, Evaluated current) {
   const PlannerInputs& inputs = evaluator.inputs();
-  const PlannerOptions& options = evaluator.options();
   constexpr int kMaxIterations = 10'000;
   for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     // Candidate generation: decrement each stage independently to the next
@@ -112,7 +115,7 @@ Evaluated Optimize(PlanEvaluator& evaluator, Evaluated current) {
         (current.estimate.cost_mean.dollars() - estimates[best_index].cost_mean.dollars()) /
         std::max(current.estimate.cost_mean.dollars(), 1e-9);
     current = Evaluated{std::move(candidates[best_index]), estimates[best_index]};
-    if (relative_improvement < options.min_relative_improvement) {
+    if (relative_improvement < kMinRelativeImprovement) {
       break;
     }
   }
@@ -149,12 +152,12 @@ PlannedJob PlanGreedy(PlanEvaluator& evaluator) {
 
   for (double multiplier : options.warm_start_multipliers) {
     // Scale the static size and round each stage up to a fair allocation,
-    // capped at max_gpus_per_trial per trial.
+    // capped at kMaxGpusPerTrial per trial.
     std::vector<int> stage_gpus;
     for (const Stage& stage : inputs.spec.stages()) {
       const int scaled = static_cast<int>(std::lround(static_gpus * multiplier));
       int fair = RoundUpToFairAllocation(scaled, stage.num_trials);
-      const int cap = std::min(stage.num_trials * options.max_gpus_per_trial,
+      const int cap = std::min(stage.num_trials * kMaxGpusPerTrial,
                                options.max_total_gpus);
       if (fair > cap) {
         fair = RoundUpToFairAllocation(cap, stage.num_trials);

@@ -19,7 +19,7 @@ PlannedJob PlanNaiveElastic(PlanEvaluator& evaluator) {
   inputs.spec.Validate();
 
   std::vector<AllocationPlan> plans;
-  for (int t = 1; t <= options.max_gpus_per_trial; ++t) {
+  for (int t = 1; t <= kMaxGpusPerTrial; ++t) {
     std::vector<int> stage_gpus;
     bool within_cap = true;
     for (const Stage& stage : inputs.spec.stages()) {

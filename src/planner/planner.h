@@ -39,6 +39,9 @@ struct PlannerInputs {
   Seconds deadline = 0.0;
 };
 
+// Search bound of every planner: the largest GPUs-per-trial considered.
+inline constexpr int kMaxGpusPerTrial = 32;
+
 struct PlannerOptions {
   // Monte-Carlo samples per plan evaluation. All candidates are evaluated
   // with the same seed (common random numbers), so comparisons between
@@ -46,14 +49,8 @@ struct PlannerOptions {
   int sim_samples = 20;
   uint64_t seed = 42;
 
-  // Search bounds: the largest GPUs-per-trial considered and the hard cap
-  // on any stage's total allocation.
-  int max_gpus_per_trial = 32;
+  // Search bound: the hard cap on any stage's total allocation.
   int max_total_gpus = 4096;
-
-  // Algorithm 2's delta: stop when the best candidate improves cost by less
-  // than this relative amount.
-  double min_relative_improvement = 1e-6;
 
   // Warm-start multipliers applied to the optimal static allocation
   // (section 4.3, "Warm start": e.g. 1x, 2x, 3x).

@@ -22,7 +22,7 @@ std::set<int> StaticCandidates(const ExperimentSpec& spec, const PlannerOptions&
   const int initial_trials = spec.stage(0).num_trials;
   const int cap =
       std::min(options.max_total_gpus,
-               std::max(initial_trials * options.max_gpus_per_trial, options.max_gpus_per_trial));
+               std::max(initial_trials * kMaxGpusPerTrial, kMaxGpusPerTrial));
   std::set<int> candidates;
   for (int g = 1; g <= std::min(cap, 64); ++g) {
     candidates.insert(g);

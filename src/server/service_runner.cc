@@ -13,6 +13,11 @@ namespace {
 
 constexpr int kWalVersion = 1;
 
+// Event budget per Tick(), so one tick through a busy simulation cannot
+// stall queued requests. A capped tick still finishes the current
+// same-timestamp group (the replay-determinism invariant).
+constexpr size_t kMaxEventsPerTick = 4096;
+
 JsonValue Num(double value) { return JsonValue::MakeNumber(value); }
 JsonValue Str(std::string value) { return JsonValue::MakeString(std::move(value)); }
 
@@ -536,7 +541,7 @@ void ServiceRunner::Tick() {
     return;  // an idle service's clock does not free-run
   }
   service_->AdvanceUntil(service_->now() + options_.auto_advance_step,
-                         options_.max_events_per_tick);
+                         kMaxEventsPerTick);
   JournalNewOutcomes();
 }
 

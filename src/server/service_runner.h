@@ -45,10 +45,6 @@ struct RunnerOptions {
   // Simulated seconds the clock advances per idle Tick(); 0 disables
   // auto-advance (tests drive time with the explicit `advance` method).
   double auto_advance_step = 0.0;
-  // Event budget per Tick(), so one tick through a busy simulation cannot
-  // stall queued requests. A capped tick still finishes the current
-  // same-timestamp group (the replay-determinism invariant).
-  size_t max_events_per_tick = 4096;
   // Write-ahead journal. Empty path disables the WAL (nothing survives a
   // restart).
   std::string wal_path;

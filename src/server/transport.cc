@@ -6,9 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace rubberband {
 
@@ -99,10 +97,6 @@ int FaultInjectingTransport::Recv(char* buffer, size_t len, int timeout_ms,
   if (dead_) {
     *error = "injected connection reset";
     return kTransportError;
-  }
-  if (profile_.stall_rate > 0.0 && rng_.Uniform(0.0, 1.0) < profile_.stall_rate) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(static_cast<int64_t>(profile_.stall_ms)));
   }
   return inner_->Recv(buffer, len, timeout_ms, error);
 }

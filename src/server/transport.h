@@ -7,7 +7,7 @@
 // server and client now speak through a Transport: FdTransport adds
 // poll()-based read/write deadlines to a socket, and
 // FaultInjectingTransport wraps any transport with a seeded profile of
-// resets, short writes, stalls, and byte flips — the chaos tests drive the
+// resets, short writes and byte flips — the chaos tests drive the
 // REAL server/client code paths, only the bottom of the stack is shimmed.
 
 #ifndef SRC_SERVER_TRANSPORT_H_
@@ -68,13 +68,8 @@ struct NetFaultProfile {
                                   // (all bytes still arrive — exercises the
                                   // peer's partial-read path)
   double byte_flip_rate = 0.0;    // flip one payload byte in a send
-  double stall_rate = 0.0;        // sleep before serving a recv
-  double stall_ms = 20.0;         // how long a stall lasts
 
-  bool Any() const {
-    return reset_rate > 0.0 || short_write_rate > 0.0 || byte_flip_rate > 0.0 ||
-           stall_rate > 0.0;
-  }
+  bool Any() const { return reset_rate > 0.0 || short_write_rate > 0.0 || byte_flip_rate > 0.0; }
 };
 
 // Wraps a transport with the profile above. `stream` distinguishes

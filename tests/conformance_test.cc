@@ -271,6 +271,36 @@ INSTANTIATE_TEST_SUITE_P(Grid, Conformance, ::testing::ValuesIn(AllCases()),
                            return param_info.param.Name();
                          });
 
+TEST(ConformanceStandalone, ExecutePlanMetricsEqualItsOwnTrace) {
+  // Provisioning callbacks can fire after the job finished: this seed's run
+  // finishes at 709.4 s, and one more provisioning failure and retry land
+  // at 713.1 s. The report's metrics must count them like its trace does,
+  // while its cost stays settled at the finish instant.
+  CloudProfile cloud;
+  cloud.instance = P3_8xlarge();
+  cloud.provisioning = ProvisioningModel::Fixed(5.0, 10.0);
+  cloud.fault.provision_failure_rate = 0.3;
+  cloud.fault.init_failure_rate = 0.15;
+  cloud.fault.mtbf = 600.0;
+  ExecutorOptions options;
+  options.seed = 13;
+  const ExecutionReport report = ExecutePlan(MakeSha(8, 2, 14, 2), AllocationPlan({8, 8, 8}),
+                                             ResNet101Cifar10(), cloud, options);
+  ASSERT_FALSE(report.trace.events().empty());
+  EXPECT_GT(report.trace.events().back().time, report.jct) << "no event landed after the finish";
+
+  const auto counter = [&](const char* name) {
+    auto it = report.metrics.counters.find(name);
+    return it != report.metrics.counters.end() ? it->second : 0;
+  };
+  for (const EventCounter& event_counter : kEventCounters) {
+    EXPECT_EQ(counter(event_counter.metric), EventsOfType(report.trace, event_counter.type))
+        << event_counter.metric;
+  }
+  EXPECT_DOUBLE_EQ(report.metrics.gauges.at("executor.cost_dollars"),
+                   report.cost.Total().dollars());
+}
+
 TEST(ConformanceService, ServiceMetricsReconcileWithJobReports) {
   // Fleet-level conformance: the service's merged snapshot equals the sum
   // of its per-job executor counters, and the billed-seconds gauge equals

@@ -333,6 +333,15 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::Parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(JsonValue::Parse("{\"a\": 1} trailing"), std::invalid_argument);
   EXPECT_THROW(JsonValue::Parse("'single'"), std::invalid_argument);
+  // Nesting is bounded at 64, so a run of '[' (a million here, well under
+  // the wire's frame cap) is a parse error at the 65th, not a stack overflow.
+  try {
+    JsonValue::Parse(std::string(1'000'000, '['));
+    ADD_FAILURE() << "a million '[' parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("at byte 64:"), std::string::npos) << error.what();
+  }
+  EXPECT_EQ(JsonValue::Parse(std::string(64, '[') + std::string(64, ']')).size(), 1u);
 }
 
 TEST(Json, EqualityIgnoresMemberOrderButNotValues) {

@@ -148,7 +148,6 @@ TEST_P(StragglerDetectorProperties, NeverFlagsIdenticallyDistributedInstances) {
 TEST_P(StragglerDetectorProperties, AlwaysFlagsAPersistentStragglerPromptly) {
   Rng rng(GetParam() ^ 0xFA57);
   StragglerDetectorConfig config;
-  config.consecutive_syncs = 3;
   config.min_observations = 3;
   StragglerDetector detector(config);
   const int instances = 4 + static_cast<int>(rng.UniformInt(0, 4));
@@ -170,7 +169,7 @@ TEST_P(StragglerDetectorProperties, AlwaysFlagsAPersistentStragglerPromptly) {
   // Detection latency is bounded: hysteresis needs k syncs over threshold,
   // and the EWMA (seeded with the first observation, alpha 0.3) of a 3x
   // signal sits over 1.5x baseline from sync one — so k + 2 covers it.
-  EXPECT_LE(flagged_at, config.consecutive_syncs + 2)
+  EXPECT_LE(flagged_at, StragglerDetector::kConsecutiveSyncs + 2)
       << "detection latency too high (seed " << GetParam() << ")";
   EXPECT_EQ(detector.num_flagged(), 1);
 }

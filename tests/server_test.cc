@@ -821,6 +821,19 @@ TEST(ServerFault, MalformedByteStreamsNeverWedgeTheServer) {
     conn.SendAll(frame.substr(0, frame.size() - 3));
     conn.Close();
   }
+  // A well-framed payload nested a million deep (under the frame cap) is a
+  // bad request, not a parser stack overflow; the connection stays usable.
+  {
+    RawConn conn(server.port());
+    ASSERT_TRUE(conn.ok());
+    const std::string response = conn.RoundTrip(std::string(1'000'000, '['));
+    ASSERT_FALSE(response.empty()) << "no response to the deep frame";
+    const JsonValue deep = JsonValue::Parse(response);
+    EXPECT_FALSE(deep.at("ok").bool_value()) << response;
+    EXPECT_EQ(deep.at("error").at("code").string(), kErrBadRequest) << response;
+    const JsonValue ping = JsonValue::Parse(conn.RoundTrip(R"({"id":1,"method":"ping"})"));
+    EXPECT_TRUE(ping.at("ok").bool_value()) << ping.ToJson();
+  }
   // Seeded random garbage streams.
   Rng rng(7);
   for (int round = 0; round < 8; ++round) {

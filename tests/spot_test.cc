@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/cloud/spot_price.h"
@@ -151,13 +153,13 @@ TEST(SpotPrice, ClampsToFloorAndCap) {
   double lo = 10.0, hi = 0.0;
   for (int i = 1; i <= 200; ++i) {
     const double multiplier = trace.Step(100.0 * i);
-    EXPECT_GE(multiplier, market.price_floor);
-    EXPECT_LE(multiplier, market.price_cap);
+    EXPECT_GE(multiplier, SpotPriceTrace::kPriceFloor);
+    EXPECT_LE(multiplier, SpotPriceTrace::kPriceCap);
     lo = std::min(lo, multiplier);
     hi = std::max(hi, multiplier);
   }
-  EXPECT_EQ(lo, market.price_floor);
-  EXPECT_EQ(hi, market.price_cap);
+  EXPECT_EQ(lo, SpotPriceTrace::kPriceFloor);
+  EXPECT_EQ(hi, SpotPriceTrace::kPriceCap);
 }
 
 TEST(SpotPrice, AverageOverIntegratesTheBreakpoints) {
@@ -401,6 +403,173 @@ TEST(Spot, StormMidStageTriggersFallbackAndTheGangRecovers) {
   EXPECT_GE(report.trace.Count(TraceEventType::kMarketFallback), 1);
   EXPECT_GT(report.best_accuracy, 0.5);
   EXPECT_EQ(report.stage_log.size(), 3u);
+}
+
+// The stage-boundary market choice, replayed from the trace of a run whose
+// only fallback trigger is the price (no hazard, storms or capacity limit).
+// At each boundary that starts another stage, a job on spot falls back to
+// on-demand when the multiplier is at or above 1.6 and its budget of
+// `budget` switches is not spent; a job on on-demand returns to spot when
+// the multiplier is at or below 1.2.
+struct PriceReplay {
+  std::vector<Seconds> fallbacks;
+  int give_backs = 0;
+  // Boundaries on spot at or above 1.6 that the budget turned away.
+  int refused = 0;
+  // Boundaries that kept the market within 0.1 of a threshold: on spot at
+  // [1.5, 1.6), on on-demand at (1.2, 1.3].
+  int near_fallback = 0;
+  int near_give_back = 0;
+};
+
+PriceReplay ReplayPriceHysteresis(const ExecutionTrace& trace, int num_stages, int budget) {
+  PriceReplay replay;
+  bool on_spot = true;
+  double price = 1.0;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.type == TraceEventType::kSpotPriceChange) {
+      price = static_cast<double>(event.instance) / 10'000.0;  // basis points
+    } else if (event.type == TraceEventType::kSync && event.stage + 1 < num_stages) {
+      if (on_spot && price >= 1.6) {
+        if (static_cast<int>(replay.fallbacks.size()) < budget) {
+          replay.fallbacks.push_back(event.time);
+          on_spot = false;
+        } else {
+          ++replay.refused;
+        }
+      } else if (!on_spot && price <= 1.2) {
+        on_spot = true;
+        ++replay.give_backs;
+      } else {
+        replay.near_fallback += on_spot && price >= 1.5 ? 1 : 0;
+        replay.near_give_back += !on_spot && price <= 1.3 ? 1 : 0;
+      }
+    }
+  }
+  return replay;
+}
+
+std::vector<Seconds> FallbackTimes(const ExecutionTrace& trace) {
+  std::vector<Seconds> times;
+  for (const TraceEvent& event : trace.OfType(TraceEventType::kMarketFallback)) {
+    times.push_back(event.time);
+  }
+  return times;
+}
+
+// `stages` stages of one trial each on one 4-GPU instance, so every stage
+// boundary is a market decision.
+ExperimentSpec OneTrialStages(int stages) {
+  ExperimentSpec spec;
+  for (int s = 0; s < stages; ++s) {
+    spec.AddStage(1, 4);
+  }
+  return spec;
+}
+
+CloudProfile VolatilePriceCloud(double volatility) {
+  CloudProfile cloud = SpotCloud(/*mean_time_to_preemption=*/0.0);  // no hazard
+  cloud.spot.volatility = volatility;
+  cloud.spot.price_interval_s = 30.0;
+  return cloud;
+}
+
+TEST(Spot, PriceSpikeFallsBackAndACalmPriceGivesTheJobBackToSpot) {
+  // A slow walk over 12 seeds: each run's fallbacks are exactly the
+  // replayed ones, and together the runs cross both thresholds and also
+  // hold the market at boundaries just short of each.
+  const ExperimentSpec spec = OneTrialStages(16);
+  const AllocationPlan plan = AllocationPlan::Uniform(16, 4);
+  PriceReplay total;
+  size_t fallbacks = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    ExecutorOptions options;
+    options.seed = seed;
+    const ExecutionReport report =
+        ExecutePlan(spec, plan, ResNet101Cifar10(), VolatilePriceCloud(0.1), options);
+    const PriceReplay replay = ReplayPriceHysteresis(report.trace, spec.num_stages(), 8);
+    EXPECT_EQ(FallbackTimes(report.trace), replay.fallbacks) << "seed " << seed;
+    EXPECT_EQ(report.stage_log.size(), 16u);
+    fallbacks += replay.fallbacks.size();
+    total.give_backs += replay.give_backs;
+    total.refused += replay.refused;
+    total.near_fallback += replay.near_fallback;
+    total.near_give_back += replay.near_give_back;
+  }
+  EXPECT_GE(fallbacks, 2u);
+  EXPECT_GE(total.give_backs, 1);
+  EXPECT_GE(total.near_fallback, 1);
+  EXPECT_GE(total.near_give_back, 1);
+  EXPECT_EQ(total.refused, 0);
+}
+
+TEST(Spot, MarketFallbacksStopAtTheBudgetOfEight) {
+  const ExperimentSpec spec = OneTrialStages(60);
+  const AllocationPlan plan = AllocationPlan::Uniform(60, 4);
+  ExecutorOptions options;
+  options.seed = 3;
+  const ExecutionReport report =
+      ExecutePlan(spec, plan, ResNet101Cifar10(), VolatilePriceCloud(0.5), options);
+  const PriceReplay replay = ReplayPriceHysteresis(report.trace, spec.num_stages(), 8);
+  // The price spiked at a boundary on spot after the eighth switch, and the
+  // job stayed on spot.
+  EXPECT_GT(replay.refused, 0);
+  EXPECT_EQ(report.trace.Count(TraceEventType::kMarketFallback), 8);
+  EXPECT_EQ(FallbackTimes(report.trace), replay.fallbacks);
+  EXPECT_EQ(report.stage_log.size(), 60u);
+}
+
+TEST(Spot, PreemptionsFarAboveTheHazardFallBackAtAStageBoundary) {
+  // A storm sweeps the job's four spot instances at once and moves it to
+  // on-demand; the flat price (1.0) gives it back to spot at the next
+  // boundary. The profile's own hazard is negligible (one reclaim per ~30
+  // years per instance), so four preemptions are more than 3x what it
+  // predicts, and a later boundary on spot falls back for that reason
+  // alone: the price never reaches 1.6 and capacity is unlimited.
+  const ExperimentSpec spec = OneTrialStages(12);
+  const AllocationPlan plan = AllocationPlan::Uniform(12, 16);
+  CloudProfile cloud = SpotCloud(/*mean_time_to_preemption=*/1e9);
+  cloud.spot.storm_mean_interval_s = 300.0;
+  cloud.spot.storm_fraction = 1.0;
+  ExecutorOptions options;
+  options.seed = 8;
+
+  // Fallbacks at a boundary that starts another stage with no preemption
+  // at that instant: neither a storm nor a capacity rejection made them.
+  const auto boundary_fallbacks = [&](const ExecutionReport& report) {
+    std::vector<Seconds> boundaries;
+    std::vector<Seconds> preemptions;
+    for (const TraceEvent& event : report.trace.events()) {
+      if (event.type == TraceEventType::kSync && event.stage + 1 < spec.num_stages()) {
+        boundaries.push_back(event.time);
+      } else if (event.type == TraceEventType::kPreemption) {
+        preemptions.push_back(event.time);
+      }
+    }
+    std::vector<std::pair<Seconds, int>> found;  // (time, preemptions so far)
+    for (Seconds time : FallbackTimes(report.trace)) {
+      const auto at = [time](Seconds t) { return t == time; };
+      if (std::ranges::any_of(boundaries, at) && std::ranges::none_of(preemptions, at)) {
+        found.emplace_back(time, static_cast<int>(std::ranges::count_if(
+                                     preemptions, [time](Seconds t) { return t < time; })));
+      }
+    }
+    return found;
+  };
+
+  const ExecutionReport hazard = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud, options);
+  const auto found = boundary_fallbacks(hazard);
+  ASSERT_FALSE(found.empty()) << "no hazard fallback at a stage boundary";
+  for (const auto& [time, preempted] : found) {
+    EXPECT_GT(preempted, 3) << "fallback at " << time << " s";
+  }
+  EXPECT_EQ(hazard.stage_log.size(), 12u);
+
+  // The same storms with the hazard off never fall back at a boundary.
+  cloud.spot.mean_time_to_preemption = 0.0;
+  const ExecutionReport storms_only = ExecutePlan(spec, plan, ResNet101Cifar10(), cloud, options);
+  EXPECT_GT(storms_only.trace.Count(TraceEventType::kMarketFallback), 0);
+  EXPECT_TRUE(boundary_fallbacks(storms_only).empty());
 }
 
 TEST(Spot, PriceChangesAndWarningsAppearInTheTrace) {

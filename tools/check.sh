@@ -47,7 +47,8 @@
 # the fleet replay's heap-allocation budget (AllocationBudget: at most 200
 # allocations per uniform SHA job), then bench/service_throughput --fleet 10000 (a 10k-job sha trace plus
 # a 2k-experiment mixed-scheduler trace) under a wall-clock budget
-# (RB_PERF_BUDGET_S, default 60s), plus the kernel microbench allocation
+# (RB_PERF_BUDGET_S, default 3s: about 5x the slowest of five default-build
+# runs, 0.45-0.55s on a 4-vCPU host), plus the kernel microbench allocation
 # check and random-engine gate (bench/micro_simulator --json). Any
 # EventCallback heap fallback or budget overrun fails the tier, as does
 # the in-tree MT19937-64 losing its margin over an in-process
@@ -150,7 +151,7 @@ if [[ -n "$perf_bench" ]]; then
   echo "=== bench/micro_simulator --json: kernel events/s, allocation check, random-engine gate ==="
   ./bench/micro_simulator --json "$(mktemp)"
   echo "=== bench/service_throughput --fleet 10000: control-plane budget gate ==="
-  ./bench/service_throughput --fleet 10000 --budget-s "${RB_PERF_BUDGET_S:-60}"
+  ./bench/service_throughput --fleet 10000 --budget-s "${RB_PERF_BUDGET_S:-3}"
 fi
 if [[ -n "$spot_bench" ]]; then
   echo "=== bench/spot_sweep: volatility regimes, self-checks, BENCH_spot.json identity ==="
