@@ -78,7 +78,7 @@ ServiceReport Replay(int num_jobs, const WarmPoolConfig& pool, uint64_t seed) {
     job.workload = ResNet101Cifar10();
     job.submit_at = 60.0 * i;
     job.deadline = 1800.0 * num_jobs;  // covers the serialized backlog
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   return service.Run();
 }
@@ -168,7 +168,7 @@ FleetRow FleetReplay(int num_jobs, uint64_t seed, bool mixed = false) {
       job.workload = ResNet101Cifar10();
       job.submit_at = 2.0 * i;  // steady arrivals below the service rate
       job.deadline = 4.0 * 3600.0;
-      service.Submit(job);
+      service.SubmitLive(job);
     }
   }
   const auto start = std::chrono::steady_clock::now();

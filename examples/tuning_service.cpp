@@ -9,7 +9,10 @@
 // the queuing + init delay entirely.
 //
 // This example replays the same five-job arrival trace twice — cold
-// (every release terminates) and warm — and compares the bills.
+// (every release terminates) and warm — and compares the bills. A replay
+// is the same call sequence a serving front door makes: SubmitLive
+// schedules each tenant's arrival on the service's one timeline, and Run()
+// drives that timeline to the end and returns the settled report.
 
 #include <cstdio>
 
@@ -47,7 +50,7 @@ int main() {
       job.workload = ResNet101Cifar10();
       job.submit_at = 60.0 * i;
       job.deadline = Minutes(150);
-      service.Submit(job);
+      service.SubmitLive(job);
     }
     return service.Run();
   };

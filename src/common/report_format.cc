@@ -104,8 +104,8 @@ std::string FormatServiceSummary(const ServiceReport& report,
           static_cast<int>(report.jobs.size()), report.rejected, report.deadline_misses,
           report.deadline_misses == 1 ? "" : "es");
   if (report.cancelled > 0 || report.in_flight > 0) {
-    // Live-mode interim reports only; absent lines keep the batch CLI
-    // output byte-identical to its golden baselines.
+    // Interim reports and cancellations only; absent lines keep the CLI's
+    // trace-replay output byte-identical to its golden baselines.
     Appendf(out, "in flight %d, cancelled %d\n", report.in_flight, report.cancelled);
   }
   Appendf(out, "makespan %s, mean queue wait %s\n", FormatDuration(report.makespan).c_str(),

@@ -36,8 +36,9 @@ int64_t Events(const Report& r) {
 using Type = TraceEventType;
 
 constexpr Metric<int64_t> kCounters[] = {
-    {"executor.preemptions", kStaged, Events<Type::kPreemption>},
-    {"executor.crashes", kStaged, Events<Type::kInstanceCrash>},
+    // Both kinds of job record their instance losses as trace events.
+    {"executor.preemptions", kStaged | kAsha, Events<Type::kPreemption>},
+    {"executor.crashes", kStaged | kAsha, Events<Type::kInstanceCrash>},
     {"executor.trial_restarts", kStaged, Events<Type::kTrialRestart>},
     {"executor.provision_failures", kStaged, Events<Type::kProvisionFailure>},
     {"executor.provision_retries", kStaged, Events<Type::kProvisionRetry>},

@@ -38,6 +38,20 @@ JsonValue ConfigFingerprint(const ServiceConfig& config) {
   return fp;
 }
 
+// Member `key` of a journal record, which must hold a `type` value. Replay
+// reads every record field through this, so a CRC-valid record that lacks
+// a field, or holds it with another type, is refused naming the record and
+// the field.
+const JsonValue& RecordField(const JsonValue& record, const std::string& key,
+                             JsonValue::Type type, const std::string& where) {
+  static const char* const kTypeNames[] = {"null", "bool", "number", "string", "array", "object"};
+  if (!record.Has(key) || record.at(key).type() != type) {
+    throw std::runtime_error(where + ": corrupt journal: field '" + key +
+                             "' is missing or not a JSON " + kTypeNames[static_cast<int>(type)]);
+  }
+  return record.at(key);
+}
+
 }  // namespace
 
 OpResult OpResult::Ok(JsonValue body) {
@@ -57,7 +71,6 @@ OpResult OpResult::Error(std::string code, std::string message, int64_t retry_af
 
 ServiceRunner::ServiceRunner(const RunnerOptions& options)
     : options_(options), service_(std::make_unique<TuningService>(options.service)) {
-  service_->StartLive();
   if (!options_.wal_path.empty()) {
     std::string error;
     if (!wal_.Create(options_.wal_path, options_.wal, &error)) {
@@ -145,23 +158,29 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
     throw std::runtime_error(where + ": record has no kind");
   }
   const std::string& kind = record.at("kind").string();
+  const auto field = [&record, &where](const std::string& key,
+                                       JsonValue::Type type) -> const JsonValue& {
+    return RecordField(record, key, type, where);
+  };
+  using Type = JsonValue::Type;
   TuningService& service = *service_;
   if (kind == "clock") {
     // Settled completions, or a drain: either way the live clock stood here.
-    service.AdvanceUntil(record.at("at_s").number());
+    service.AdvanceUntil(field("at_s", Type::kNumber).number());
     return;
   }
   if (kind == "outcome") {
-    const std::string& name = record.at("job").string();
+    const std::string& name = field("job", Type::kString).string();
+    const double jct = field("jct_s", Type::kNumber).number();
+    const double cost_micros = field("cost_micros", Type::kNumber).number();
     const size_t index = service.FindJob(name);
     if (index == TuningService::kNoJob) {
       throw std::runtime_error(where + ": replay diverged: completed job '" + name +
                                "' unknown");
     }
     const JobOutcome& outcome = service.outcome(index);
-    if (outcome.state != JobState::kCompleted ||
-        outcome.jct != record.at("jct_s").number() ||
-        static_cast<double>(outcome.cost.micros()) != record.at("cost_micros").number()) {
+    if (outcome.state != JobState::kCompleted || outcome.jct != jct ||
+        static_cast<double>(outcome.cost.micros()) != cost_micros) {
       throw std::runtime_error(where + ": replay diverged on job '" + name +
                                "' (outcome differs from journaled digest)");
     }
@@ -180,12 +199,13 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
   // pre-op advance processes exactly the events the live run had processed
   // before that op, so arrivals and stage events re-enter the heap in the
   // original (time, seq) order.
-  const Seconds at = record.at("at_s").number();
+  const Seconds at = field("at_s", Type::kNumber).number();
+  const JsonValue& params = field("params", Type::kObject);
   service.AdvanceUntil(at);
   if (kind == "submit") {
     JobRequest job;
     std::string error;
-    if (!ParseJobRequest(record.at("params"), &job, &error)) {
+    if (!ParseJobRequest(params, &job, &error)) {
       throw std::runtime_error(where + ": corrupt journal submit: " + error);
     }
     // A journaled admission decision is authoritative: the arrival applies
@@ -205,7 +225,7 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
     }
     service.SubmitLive(std::move(job), std::move(decision));
   } else {
-    const size_t index = service.FindJob(record.at("params").at("job").string());
+    const size_t index = service.FindJob(RecordField(params, "job", Type::kString, where).string());
     if (index == TuningService::kNoJob) {
       throw std::runtime_error(where + ": corrupt journal: cancel of unknown job");
     }
@@ -216,7 +236,8 @@ void ServiceRunner::ReplayWalRecord(const JsonValue& record, const std::string& 
   }
   ++wal_stats_.ops_replayed;
   if (record.Has("idem")) {
-    idem_index_[record.at("idem").string()] = record.at("response").ToJson();
+    idem_index_[field("idem", Type::kString).string()] =
+        field("response", Type::kObject).ToJson();
   }
 }
 

@@ -86,10 +86,11 @@ class ServiceRunner {
   // Resumes from the WAL at options.wal_path when it exists and holds
   // records; otherwise starts fresh (identical to the constructor). Throws
   // std::runtime_error, naming the byte offset or record where possible, on
-  // a corrupt journal (a journaled decision included: wrong stage count,
-  // a GPU count below 1, a missing or non-finite field), a config-
-  // fingerprint mismatch, or a replay that diverges from the journaled
-  // outcome digests.
+  // a corrupt journal (a record field that replay reads missing or
+  // mistyped, named with its record; a journaled decision with a wrong
+  // stage count, a GPU count below 1, or a missing or non-finite field), a
+  // config-fingerprint mismatch, or a replay that diverges from the
+  // journaled outcome digests.
   static std::unique_ptr<ServiceRunner> Open(const RunnerOptions& options);
 
   // Dispatches one request (submit / cancel / status / report / metrics /

@@ -183,26 +183,9 @@ TuningService::TuningService(const ServiceConfig& config)
   // reads zeros rather than nothing.
   PublishCacheStats(PlannerCacheStats{}, metrics_.scope("planner"));
   heap_fallback_baseline_ = EventCallback::HeapConstructions();
-}
-
-void TuningService::Submit(JobRequest request) {
-  if (ran_) {
-    throw std::logic_error("TuningService::Submit after Run");
-  }
-  if (request.deadline <= 0.0) {
-    throw std::invalid_argument("job '" + request.name + "' needs a positive deadline");
-  }
-  if (request.submit_at < 0.0) {
-    throw std::invalid_argument("job '" + request.name + "' has a negative arrival time");
-  }
-  request.spec.Validate();
-  Job job;
-  job.outcome.name = request.name;
-  job.outcome.submitted_at = request.submit_at;
-  job.outcome.deadline_at = request.submit_at + request.deadline;
-  job.request = std::move(request);
-  index_by_name_[job.outcome.name] = jobs_.size();
-  jobs_.push_back(std::move(job));
+  cloud_.SetPreemptionHandler([this](InstanceId id) { RouteInstanceLoss(id, false); });
+  cloud_.SetCrashHandler([this](InstanceId id) { RouteInstanceLoss(id, true); });
+  cloud_.SetPreemptionWarningHandler([this](InstanceId id) { RouteWarning(id); });
 }
 
 std::vector<size_t> TuningService::SubmitExperiment(const ExperimentRequest& request) {
@@ -213,7 +196,7 @@ std::vector<size_t> TuningService::SubmitExperiment(const ExperimentRequest& req
   for (const CompiledUnit& unit : compiled.units) {
     JobRequest job;
     // A single-unit experiment keeps the tenant's name verbatim, so a sha
-    // experiment is indistinguishable from the equivalent plain Submit.
+    // experiment is indistinguishable from the equivalent plain SubmitLive.
     job.name = compiled.units.size() > 1 ? request.name + "/" + unit.name : request.name;
     job.spec = unit.spec;
     job.workload = request.workload;
@@ -228,12 +211,7 @@ std::vector<size_t> TuningService::SubmitExperiment(const ExperimentRequest& req
     job.retry = request.retry;
     job.configs = unit.configs;
     job.asha = compiled.asha;
-    if (live_) {
-      indices.push_back(SubmitLive(std::move(job)));
-    } else {
-      indices.push_back(jobs_.size());
-      Submit(std::move(job));
-    }
+    indices.push_back(SubmitLive(std::move(job)));
   }
   return indices;
 }
@@ -344,7 +322,7 @@ void TuningService::OnArrival(size_t index) {
   --arrivals_outstanding_;
   Job& job = jobs_[index];
   if (job.outcome.state == JobState::kCancelled) {
-    return;  // withdrawn (live mode) before the arrival event fired
+    return;  // withdrawn before the arrival event fired
   }
   obs::Inc(h_.arrived);
   if (job.journaled) {
@@ -650,63 +628,40 @@ void TuningService::RouteWarning(InstanceId id) {
   // follows is routed — and cleaned up — by RouteInstanceLoss.
 }
 
-void TuningService::InstallHandlers() {
-  cloud_.SetPreemptionHandler([this](InstanceId id) { RouteInstanceLoss(id, false); });
-  cloud_.SetCrashHandler([this](InstanceId id) { RouteInstanceLoss(id, true); });
-  cloud_.SetPreemptionWarningHandler([this](InstanceId id) { RouteWarning(id); });
-}
-
 ServiceReport TuningService::Run() {
-  if (ran_ || live_) {
-    throw std::logic_error("TuningService::Run may only be called once");
-  }
-  ran_ = true;
-
-  InstallHandlers();
-  arrivals_outstanding_ = static_cast<int>(jobs_.size());
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    sim_.ScheduleAt(jobs_[i].request.submit_at, [this, i] { OnArrival(i); });
-  }
-  sim_.Run();
-  SweepRetiredExecutors();
+  FinishLive();
   return BuildReport(/*require_settled=*/true);
 }
 
-void TuningService::StartLive() {
-  if (ran_ || live_) {
-    throw std::logic_error("TuningService::StartLive after Run or StartLive");
-  }
-  if (!jobs_.empty()) {
-    throw std::logic_error("TuningService::StartLive must precede all submissions");
-  }
-  live_ = true;
-  InstallHandlers();
-}
-
 size_t TuningService::SubmitLive(JobRequest request, std::optional<AdmissionDecision> decision) {
-  if (!live_) {
-    throw std::logic_error("TuningService::SubmitLive requires StartLive");
+  if (request.deadline <= 0.0) {
+    throw std::invalid_argument("job '" + request.name + "' needs a positive deadline");
   }
+  if (request.submit_at < 0.0) {
+    throw std::invalid_argument("job '" + request.name + "' has a negative arrival time");
+  }
+  request.spec.Validate();
   // Stamp the arrival: never in the simulation's past, so the operation
   // sequence (and therefore a journal replay of it) is causally ordered.
   request.submit_at = std::max(request.submit_at, sim_.now());
   const size_t index = jobs_.size();
-  Submit(std::move(request));
+  Job& job = jobs_.emplace_back();
+  job.outcome.name = request.name;
+  job.outcome.submitted_at = request.submit_at;
+  job.outcome.deadline_at = request.submit_at + request.deadline;
+  job.request = std::move(request);
   if (decision.has_value()) {
-    Job& job = jobs_[index];
     job.planned = std::move(decision->planned);
     job.arrival_cache = decision->cache;
     job.journaled = true;
   }
+  index_by_name_[job.outcome.name] = index;
   ++arrivals_outstanding_;
-  sim_.ScheduleAt(jobs_[index].request.submit_at, [this, index] { OnArrival(index); });
+  sim_.ScheduleAt(job.request.submit_at, [this, index] { OnArrival(index); });
   return index;
 }
 
 size_t TuningService::AdvanceUntil(Seconds until, size_t max_events) {
-  if (!live_) {
-    throw std::logic_error("TuningService::AdvanceUntil requires StartLive");
-  }
   if (until < sim_.now()) {
     return 0;
   }
@@ -717,9 +672,6 @@ size_t TuningService::AdvanceUntil(Seconds until, size_t max_events) {
 }
 
 bool TuningService::CancelLive(size_t index, std::string* error) {
-  if (!live_) {
-    throw std::logic_error("TuningService::CancelLive requires StartLive");
-  }
   if (index >= jobs_.size()) {
     if (error != nullptr) {
       *error = "unknown job index";
@@ -752,13 +704,8 @@ bool TuningService::CancelLive(size_t index, std::string* error) {
 }
 
 void TuningService::FinishLive() {
-  if (!live_) {
-    throw std::logic_error("TuningService::FinishLive requires StartLive");
-  }
-  // The last completion's idle check already released warm capacity; the
-  // explicit Drain covers traces that end in cancellations or rejections.
-  sim_.Run();
-  pool_.Drain();
+  // Run returns only once the queue is empty, so every parked instance's
+  // idle-TTL event has fired and taken it out of the pool.
   sim_.Run();
   SweepRetiredExecutors();
 }
@@ -786,9 +733,6 @@ void TuningService::InjectSimStats(MetricsSnapshot* snapshot) const {
 }
 
 ServiceReport TuningService::SnapshotReport() {
-  if (!live_) {
-    throw std::logic_error("TuningService::SnapshotReport requires StartLive");
-  }
   return BuildReport(/*require_settled=*/false);
 }
 
@@ -870,7 +814,7 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
   // Fleet spot.* totals need no service-side gauges: every finished job's
   // report carries its spot.* family, and the fleet sum adds them into
   // exactly the report's totals.
-  // The registry counters accumulate, so repeated (live) reports publish
+  // The registry counters accumulate, so repeated reports publish
   // only what changed since the last publish.
   PlannerCacheStats cache_delta = report.planner_cache;
   cache_delta -= published_cache_;

@@ -19,7 +19,17 @@
 //     peak, so caps only bind when the operator overcommits capacity.
 //
 // Everything runs on one discrete-event Simulation, so an entire
-// multi-tenant day replays deterministically from a seed.
+// multi-tenant day replays deterministically from a seed. There is one
+// timeline and one way to drive it: SubmitLive schedules an arrival the
+// moment it is called, AdvanceUntil moves the clock, and Run() drives it
+// to the end. Replaying a pre-submitted trace is SubmitLive for every job
+// and then Run(); the serving front door interleaves the same calls with
+// requests. A run is a pure function of (seed, config, the stamped
+// operation sequence), so a journal of SubmitLive/CancelLive/AdvanceUntil
+// calls replays bit-identically — the serving snapshot/restore contract.
+// A replay that hands SubmitLive the journaled arrival decisions
+// reproduces the same run without planning them; in fleet mode only its
+// planner-cache counters can read higher (see ServiceRunner).
 
 #ifndef SRC_SERVICE_TUNING_SERVICE_H_
 #define SRC_SERVICE_TUNING_SERVICE_H_
@@ -88,7 +98,7 @@ enum class JobState {
   kRejectedInfeasible,  // no plan meets the deadline (reported at admission)
   kRejectedOverBudget,  // cheapest feasible plan costs more than the budget
   kRejectedStale,       // queue wait made the deadline infeasible
-  kCancelled,           // withdrawn by the tenant before it started (live mode)
+  kCancelled,           // withdrawn by the tenant before it started
 };
 
 std::string ToString(JobState state);
@@ -198,7 +208,7 @@ struct ServiceReport {
   std::vector<JobOutcome> jobs;
   int completed = 0;
   int rejected = 0;
-  int cancelled = 0;        // withdrawn before start (live mode only)
+  int cancelled = 0;        // withdrawn before start
   int in_flight = 0;        // pending/queued/running (interim reports only)
   int deadline_misses = 0;  // admitted jobs that finished late (never silent)
   Seconds makespan = 0.0;   // time of the last job completion
@@ -249,43 +259,31 @@ class TuningService {
   TuningService(const TuningService&) = delete;
   TuningService& operator=(const TuningService&) = delete;
 
-  // Registers a job arrival. All submissions happen before Run().
-  void Submit(JobRequest request);
+  // Schedules one arrival at max(request.submit_at, now()) and returns the
+  // job's index. Throws std::invalid_argument for a non-positive deadline,
+  // a negative arrival time or an invalid spec. The admission decision
+  // lands once the clock passes the arrival time (same-tick submissions
+  // admit in submission order). With a journaled `decision` (WAL recovery)
+  // the arrival applies it instead of planning: its counters count as
+  // planned, and in fleet mode it becomes the arrival-plan memo entry for
+  // the job's shape and deadline.
+  size_t SubmitLive(JobRequest request, std::optional<AdmissionDecision> decision = {});
 
-  // Compiles `request.ir` and submits one job per compiled unit (multi-unit
-  // experiments suffix each job name with "/<unit>"; the budget splits in
-  // proportion to unit work). Works both before Run() and in live mode, and
-  // returns the submitted job indices in unit order. A sha experiment
-  // submitted this way is indistinguishable from the equivalent Submit().
+  // Compiles `request.ir` and submits one job per compiled unit through
+  // SubmitLive (multi-unit experiments suffix each job name with
+  // "/<unit>"; the budget splits in proportion to unit work), and returns
+  // the submitted job indices in unit order. A sha experiment submitted
+  // this way is indistinguishable from the equivalent SubmitLive.
   std::vector<size_t> SubmitExperiment(const ExperimentRequest& request);
 
-  // Replays the submitted arrival trace to completion and reports. Call
-  // once.
+  // Drives the timeline to the end (FinishLive) and returns the settled
+  // report. The service stays usable: a later submit starts a new stretch
+  // of the same timeline, and the next Run() settles it too.
   ServiceReport Run();
 
-  // ---- Live (incremental) mode ---------------------------------------
-  // The serving front door drives the service request by request instead
-  // of replaying a pre-submitted trace: StartLive installs the provider
-  // handlers, SubmitLive schedules one arrival, AdvanceUntil moves the
-  // simulation clock, and SnapshotReport works mid-flight. A live run is a
-  // pure function of (seed, config, the stamped operation sequence), so a
-  // journal of SubmitLive/CancelLive/AdvanceUntil calls replays
-  // bit-identically — the serving snapshot/restore contract. A replay that
-  // hands SubmitLive the journaled arrival decisions reproduces the same
-  // run without planning them; in fleet mode only its planner-cache
-  // counters can read higher (see ServiceRunner).
-
-  // Switches to live mode (mutually exclusive with Run). Call once, before
-  // the first SubmitLive.
-  void StartLive();
-
-  // Schedules one arrival at max(request.submit_at, now()) and returns the
-  // job's index. The admission decision lands once AdvanceUntil passes the
-  // arrival time (same-tick submissions admit in submission order). With a
-  // journaled `decision` (WAL recovery) the arrival applies it instead of
-  // planning: its counters count as planned, and in fleet mode it becomes
-  // the arrival-plan memo entry for the job's shape and deadline.
-  size_t SubmitLive(JobRequest request, std::optional<AdmissionDecision> decision = {});
+  // Does nothing: every service is live from its constructor. Kept only
+  // because perfbench/src/main.cc still calls it.
+  void StartLive() {}
 
   // Runs events up to `until` (capping work at `max_events` when nonzero;
   // an early stop still finishes the same-timestamp group) and returns the
@@ -296,8 +294,8 @@ class TuningService {
   // false with `*error` set when the job is running or already settled.
   bool CancelLive(size_t index, std::string* error);
 
-  // Runs the simulation to quiescence (all scheduled arrivals served,
-  // all admitted jobs finished) and releases warm capacity.
+  // Runs the simulation to quiescence: every scheduled arrival served,
+  // every admitted job finished, and every parked instance expired.
   void FinishLive();
 
   // True when nothing is running, queued, or scheduled to arrive.
@@ -328,8 +326,8 @@ class TuningService {
   // publishes the planner-cache totals into the registry.
   MetricsSnapshot MetricsNow() const;
 
-  // Interim (live) or final report; unsettled jobs are reported in their
-  // current state instead of throwing. Callable repeatedly.
+  // Report as of now; unsettled jobs are reported in their current state
+  // instead of throwing. Callable repeatedly.
   ServiceReport SnapshotReport();
 
  private:
@@ -357,7 +355,6 @@ class TuningService {
     int share_cap = 0;  // current fair-share GPU cap
   };
 
-  void InstallHandlers();
   ServiceReport BuildReport(bool require_settled);
   void OnArrival(size_t index);
   void StartJob(size_t index);
@@ -459,8 +456,6 @@ class TuningService {
   int running_ = 0;
   int arrivals_outstanding_ = 0;
   Seconds makespan_ = 0.0;
-  bool ran_ = false;
-  bool live_ = false;
 };
 
 }  // namespace rubberband

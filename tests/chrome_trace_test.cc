@@ -242,7 +242,7 @@ TEST(ChromeTrace, ServiceExportGivesEachJobItsOwnProcess) {
     job.workload = ResNet101Cifar10();
     job.submit_at = 900.0 * i;
     job.deadline = Minutes(60);
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   const ServiceReport report = service.Run();
   ASSERT_EQ(report.completed, 2);

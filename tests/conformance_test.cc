@@ -322,7 +322,7 @@ TEST(ConformanceService, ServiceMetricsReconcileWithJobReports) {
     job.workload = ResNet101Cifar10();
     job.submit_at = 900.0 * i;
     job.deadline = Minutes(60);
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   const ServiceReport report = service.Run();
   ASSERT_EQ(report.completed, 3);
@@ -378,7 +378,7 @@ TEST(ConformanceService, ObserveOffServiceRunIsBitIdentical) {
       job.workload = ResNet101Cifar10();
       job.submit_at = 600.0 * i;
       job.deadline = Minutes(60);
-      service.Submit(job);
+      service.SubmitLive(job);
     }
     return service.Run();
   };

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/rubberband.h"
@@ -542,7 +543,7 @@ TEST(ServiceFaults, AttributesFaultsPerJobAndCompletesTheTrace) {
     job.workload = ResNet101Cifar10();
     job.submit_at = 60.0 * i;
     job.deadline = 7200.0;
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   const ServiceReport report = service.Run();
   EXPECT_EQ(report.completed + report.rejected, 2);
@@ -596,7 +597,8 @@ TEST(ServiceFaults, MixedShapesSurviveCrashesDuringScaleUp) {
 TEST(ServiceFaults, AshaInstanceLossesAreTraceEvents) {
   // An ASHA job records each instance it loses in its trace, as a staged
   // job does: its outcome's crash and preemption counts are its trace's
-  // INSTANCE_CRASH and PREEMPTION events.
+  // INSTANCE_CRASH and PREEMPTION events, and the fleet metrics'
+  // executor.crashes and executor.preemptions count them.
   ServiceConfig config;
   config.cloud.provisioning = ProvisioningModel::Fixed(30.0, 120.0);
   config.cloud.fault.mtbf = 900.0;
@@ -618,16 +620,24 @@ TEST(ServiceFaults, AshaInstanceLossesAreTraceEvents) {
   const ServiceReport report = service.Run();
   ASSERT_EQ(report.completed, 3);
   int losses = 0;
+  int64_t crash_events = 0;
+  int64_t preemption_events = 0;
   for (const JobOutcome& job : report.jobs) {
-    EXPECT_EQ(static_cast<size_t>(job.crashes),
-              job.trace.OfType(TraceEventType::kInstanceCrash).size())
-        << job.name;
-    EXPECT_EQ(static_cast<size_t>(job.preemptions),
-              job.trace.OfType(TraceEventType::kPreemption).size())
-        << job.name;
+    const size_t crashes = job.trace.OfType(TraceEventType::kInstanceCrash).size();
+    const size_t preemptions = job.trace.OfType(TraceEventType::kPreemption).size();
+    EXPECT_EQ(static_cast<size_t>(job.crashes), crashes) << job.name;
+    EXPECT_EQ(static_cast<size_t>(job.preemptions), preemptions) << job.name;
     losses += job.crashes + job.preemptions;
+    crash_events += static_cast<int64_t>(crashes);
+    preemption_events += static_cast<int64_t>(preemptions);
   }
   EXPECT_GT(losses, 0);
+  const auto counter = [&report](const std::string& name) -> int64_t {
+    const auto it = report.metrics.counters.find(name);
+    return it == report.metrics.counters.end() ? -1 : it->second;
+  };
+  EXPECT_EQ(counter("executor.crashes"), crash_events);
+  EXPECT_EQ(counter("executor.preemptions"), preemption_events);
 }
 
 }  // namespace

@@ -204,23 +204,19 @@ ServiceConfig MixedConfig(bool observe) {
   return config;
 }
 
-// Runs the trace to completion, and again live up to `mid_run`, and returns
-// {"final": <report snapshot>, "mid_run": <MetricsNow>}.
+// Submits the trace to one service, advances it to `mid_run`, then runs it
+// to the end, and returns {"final": <report snapshot>, "mid_run":
+// <MetricsNow>}. The final section is pinned by the same goldens a lone
+// Run() produced: Run() after live steps continues the one timeline.
 std::string ServiceMetricsJson(const ServiceConfig& config,
                                const std::vector<ExperimentRequest>& trace, Seconds mid_run) {
-  TuningService batch(config);
+  TuningService service(config);
   for (const ExperimentRequest& request : trace) {
-    batch.SubmitExperiment(request);
+    service.SubmitExperiment(request);
   }
-  const ServiceReport report = batch.Run();
-
-  TuningService live(config);
-  live.StartLive();
-  for (const ExperimentRequest& request : trace) {
-    live.SubmitExperiment(request);
-  }
-  live.AdvanceUntil(mid_run);
-  const MetricsSnapshot mid = live.MetricsNow();
+  service.AdvanceUntil(mid_run);
+  const MetricsSnapshot mid = service.MetricsNow();
+  const ServiceReport report = service.Run();
   // The mid-run cut must fall between the first and the last completion.
   const int64_t done_mid = mid.counters.at("service.jobs_completed");
   EXPECT_GT(done_mid, 0);

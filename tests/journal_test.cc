@@ -654,6 +654,64 @@ TEST(WalRecovery, AMalformedDecisionIsRefusedNamingTheRecord) {
   }
 }
 
+// A CRC-valid record that lacks a field replay reads, or holds it with
+// another type, is refused as corrupt, naming the record and the field.
+TEST(WalRecovery, AMissingOrMistypedRecordFieldIsRefusedNamingIt) {
+  const std::string master = TempPath("wal_fields_master.wal");
+  auto victim = std::make_unique<ServiceRunner>(WalRunner(master));
+  ASSERT_TRUE(victim->Handle(Req("submit", SubmitParams("exp1"))).ok);
+  RunToQuiescence(*victim);
+  victim->AbandonWal();
+  victim.reset();
+  const std::vector<JsonValue> records = WalRecords(master);
+  size_t outcome = 0;
+  for (size_t i = 1; i < records.size(); ++i) {
+    if (records[i].at("kind").string() == "outcome") {
+      outcome = i;
+    }
+  }
+  ASSERT_GT(outcome, 0u) << "the completed job left no outcome record";
+  ASSERT_EQ(records[outcome].at("job").string(), "exp1");
+
+  const auto parsed = [](const std::string& text) { return JsonValue::Parse(text); };
+  JsonValue no_jct = JsonValue::MakeObject();
+  for (const auto& [key, value] : records[outcome].object()) {
+    if (key != "jct_s") {
+      no_jct.Set(key, value);
+    }
+  }
+  struct Case {
+    std::vector<JsonValue> records;
+    size_t record;
+    std::string field;
+  };
+  const std::vector<Case> cases = {
+      {{records[0], parsed(R"({"kind":"clock"})")}, 1, "at_s"},
+      {{records[0], parsed(R"({"kind":"clock","at_s":"600"})")}, 1, "at_s"},
+      {{records[0], parsed(R"({"kind":"submit","at_s":0})")}, 1, "params"},
+      {{records[0], parsed(R"({"kind":"cancel","at_s":0})")}, 1, "params"},
+      {{records[0], parsed(R"({"kind":"cancel","at_s":0,"params":{}})")}, 1, "job"},
+      {[&] {
+         std::vector<JsonValue> edited(records.begin(), records.begin() + outcome);
+         edited.push_back(no_jct);
+         return edited;
+       }(),
+       outcome, "jct_s"},
+  };
+  const std::string wal = TempPath("wal_fields_malformed.wal");
+  for (const Case& bad : cases) {
+    WriteWalRecords(wal, bad.records);
+    const std::string expected =
+        "wal record " + std::to_string(bad.record) + ": corrupt journal: field '" + bad.field + "'";
+    try {
+      ServiceRunner::Open(WalRunner(wal));
+      ADD_FAILURE() << "a malformed record resumed: " << bad.records.back().ToJson();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+    }
+  }
+}
+
 // Fleet mode (shared admission evaluators, the arrival-plan memo): kills
 // a run of repeated shapes (memo hits, journaled without a decision) and
 // distinct ones after half its submits, resumes it, and returns the

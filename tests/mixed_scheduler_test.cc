@@ -1,8 +1,8 @@
 // Mixed-scheduler service traces: one multi-tenant day admitting sha,
 // hyperband, asha, random, and grid experiments side by side — everything
 // completes, the whole day replays bit-for-bit, and an experiment-submitted
-// SHA job is indistinguishable from one submitted through the legacy
-// Submit() path.
+// SHA job is indistinguishable from one submitted as a plain JobRequest
+// through SubmitLive().
 
 #include "src/service/tuning_service.h"
 
@@ -152,7 +152,7 @@ TEST(MixedScheduler, ShaExperimentMatchesLegacySubmit) {
   legacy_job.workload = ResNet101Cifar10();
   legacy_job.deadline = 3600.0;
   TuningService legacy(config);
-  legacy.Submit(legacy_job);
+  legacy.SubmitLive(legacy_job);
   const ServiceReport legacy_report = legacy.Run();
 
   ExperimentRequest experiment;

@@ -1,8 +1,9 @@
-// Live-mode property tests: a bursty batch of same-tick submissions must
+// Burst property tests: a bursty batch of same-tick submissions must
 // leave the service's accounting consistent — queue-wait metrics agree
 // with per-job outcomes, fair-share caps hold, warm-pool counters balance
-// — and a live run must be bit-identical to the batch replay of the same
-// trace (the serving front door's correctness foundation).
+// — and a run stepped through AdvanceUntil, as the serving front door
+// drives it, must be bit-identical to one Run() over the same trace (the
+// front door's correctness foundation).
 
 #include <gtest/gtest.h>
 
@@ -41,11 +42,14 @@ JobRequest BurstJob(int i, int burst) {
 
 ServiceReport RunLiveBurst(const ServiceConfig& config, int burst) {
   TuningService service(config);
-  service.StartLive();
   // Same-tick burst: every submission is scheduled before the clock moves,
   // exactly what the front door sees when N tenants hit submit at once.
   for (int i = 0; i < burst; ++i) {
     service.SubmitLive(BurstJob(i, burst));
+  }
+  // Then the clock moves in pacing steps, as the front door's ticks move it.
+  for (Seconds t = 0.0; service.HasPendingEvents() && t < 1e7; t += 300.0) {
+    service.AdvanceUntil(t);
   }
   service.FinishLive();
   return service.SnapshotReport();
@@ -54,7 +58,7 @@ ServiceReport RunLiveBurst(const ServiceConfig& config, int burst) {
 ServiceReport RunBatchBurst(const ServiceConfig& config, int burst) {
   TuningService service(config);
   for (int i = 0; i < burst; ++i) {
-    service.Submit(BurstJob(i, burst));
+    service.SubmitLive(BurstJob(i, burst));
   }
   return service.Run();
 }
@@ -143,9 +147,9 @@ TEST(ServiceBurstProperty, SameTickBurstKeepsAccountingConsistent) {
 }
 
 TEST(ServiceBurstProperty, LiveBurstIsBitIdenticalToBatchReplay) {
-  // The snapshot/restore contract rests on live mode being a pure function
-  // of (seed, config, op sequence): driving the same-tick burst through
-  // SubmitLive must reproduce the batch Run() to the micro-dollar.
+  // The snapshot/restore contract rests on a run being a pure function of
+  // (seed, config, op sequence): stepping the same-tick burst's clock in
+  // pacing steps must reproduce one Run() to the micro-dollar.
   for (const uint64_t seed : {7u, 21u}) {
     for (const bool warm : {false, true}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + (warm ? " warm" : " cold"));

@@ -120,7 +120,7 @@ ServiceConfig BaseConfig() {
 ServiceReport RunTrace(const ServiceConfig& config, const std::vector<JobRequest>& trace) {
   TuningService service(config);
   for (const JobRequest& job : trace) {
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   return service.Run();
 }
@@ -306,7 +306,6 @@ TEST(Service, IncrementalSharesMatchAFullArbitration) {
   config.capacity_gpus = 24;
   config.overcommit = 2.0;
   TuningService service(config);
-  service.StartLive();
   for (int i = 0; i < 10; ++i) {
     JobRequest job = MakeJob("j", 120.0 * i, 3600.0 * (1.0 + 0.5 * (i % 3)));
     job.name += std::to_string(i);
@@ -399,7 +398,7 @@ TEST(Service, JobEvaluatorsAreFreedWhenJobsLeaveAdmission) {
   const int threads_before = CountThreads();
   TuningService service(config);
   for (const JobRequest& job : trace) {
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   const ServiceReport parallel = service.Run();
   // Held until the service died, the 40 evaluators kept 120 idle threads.
@@ -433,7 +432,7 @@ TEST(Service, SharedEvaluatorsPlanOnOneBoundedPool) {
   const int threads_before = CountThreads();
   TuningService service(config);
   for (const JobRequest& job : trace) {
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   const ServiceReport parallel = service.Run();
   EXPECT_TRUE(ThreadsSettleAtOrBelow(threads_before + 3))
@@ -460,14 +459,26 @@ TEST(Service, BudgetRejectsJobsWhoseCheapestPlanIsTooExpensive) {
 TEST(Service, SubmissionValidation) {
   TuningService service(BaseConfig());
   JobRequest no_deadline = MakeJob("bad", 0.0, 0.0);
-  EXPECT_THROW(service.Submit(no_deadline), std::invalid_argument);
+  EXPECT_THROW(service.SubmitLive(no_deadline), std::invalid_argument);
   JobRequest time_traveler = MakeJob("bad", -5.0, 100.0);
-  EXPECT_THROW(service.Submit(time_traveler), std::invalid_argument);
+  EXPECT_THROW(service.SubmitLive(time_traveler), std::invalid_argument);
 
-  service.Submit(MakeJob("ok", 0.0, 3600.0));
-  service.Run();
-  EXPECT_THROW(service.Run(), std::logic_error);
-  EXPECT_THROW(service.Submit(MakeJob("late", 0.0, 3600.0)), std::logic_error);
+  service.SubmitLive(MakeJob("ok", 0.0, 3600.0));
+  const ServiceReport first = service.Run();
+  ASSERT_EQ(first.completed, 1);
+
+  // Run() drives the one timeline to the end; a job submitted afterwards
+  // arrives at the current clock and the next Run() settles it.
+  const Seconds end_of_first = service.now();
+  const size_t late = service.SubmitLive(MakeJob("late", 0.0, 3600.0));
+  const ServiceReport second = service.Run();
+  EXPECT_EQ(second.completed, 2);
+  EXPECT_EQ(second.rejected, 0);
+  const JobOutcome& outcome = service.outcome(late);
+  EXPECT_EQ(outcome.state, JobState::kCompleted);
+  EXPECT_EQ(outcome.submitted_at, end_of_first);
+  EXPECT_GE(outcome.started_at, end_of_first);
+  EXPECT_TRUE(outcome.met_deadline);
 }
 
 }  // namespace

@@ -725,7 +725,7 @@ TEST(SpotService, FleetReportCarriesSpotTotalsAndMetrics) {
   }
   TuningService service(config);
   for (const JobRequest& job : trace) {
-    service.Submit(job);
+    service.SubmitLive(job);
   }
   const ServiceReport report = service.Run();
 

@@ -436,7 +436,7 @@ ServiceReport RunService(double rate, bool mitigate) {
     request.workload = ResNet101Cifar10();
     request.submit_at = 200.0 * j;
     request.deadline = 2500.0;
-    service.Submit(std::move(request));
+    service.SubmitLive(std::move(request));
   }
   return service.Run();
 }

@@ -56,12 +56,12 @@
 # faster, and long-stream words/s no more than 10% slower.
 #
 # tools/check.sh --spot runs the spot-market survival tier in the default
-# build tree: the Spot* suites (market mechanics, eager checkpoints,
-# fallback, risk-aware planning, billing) and BenchBaseline.SpotSweep via
-# ctest -R, then bench/spot_sweep — whose hard self-checks (inert-market
-# row byte-equal to on-demand; moderate volatility >= 25% cheaper without
-# giving up the deadline) must pass and whose JSON, written to a temporary
-# file, must match the checked-in BENCH_spot.json byte for byte.
+# build tree through ctest -R: the Spot* suites (market mechanics, eager
+# checkpoints, fallback, risk-aware planning, billing) and
+# BenchBaseline.SpotSweep, which runs bench/spot_sweep --json — whose hard
+# self-checks (inert-market row byte-equal to on-demand; moderate
+# volatility >= 25% cheaper without giving up the deadline) must pass —
+# and compares its JSON byte for byte with the checked-in BENCH_spot.json.
 #
 # tools/check.sh --all runs the eight tiers back to back (default,
 # --conformance, --server, --sanitize, --tsan, --chaos, --perf, --spot)
@@ -95,7 +95,6 @@ fi
 build_dir=build
 budget_s=""
 perf_bench=""
-spot_bench=""
 cmake_args=()
 ctest_args=()
 if [[ "${1:-}" == "--sanitize" ]]; then
@@ -125,7 +124,6 @@ elif [[ "${1:-}" == "--perf" ]]; then
   perf_bench=1
 elif [[ "${1:-}" == "--spot" ]]; then
   ctest_args+=(-R "Spot")
-  spot_bench=1
 elif [[ $# -eq 0 ]]; then
   budget_s="${RB_SMOKE_BUDGET_S:-300}"
 else
@@ -134,8 +132,7 @@ else
 fi
 
 log="$(mktemp)"
-spot_json="$(mktemp)"
-trap 'rm -f "$log" "$spot_json"' EXIT
+trap 'rm -f "$log"' EXIT
 
 cmake -B "$build_dir" -S . "${cmake_args[@]}"
 cmake --build "$build_dir" -j 2>&1 | tee "$log"
@@ -152,11 +149,6 @@ if [[ -n "$perf_bench" ]]; then
   ./bench/micro_simulator --json "$(mktemp)"
   echo "=== bench/service_throughput --fleet 10000: control-plane budget gate ==="
   ./bench/service_throughput --fleet 10000 --budget-s "${RB_PERF_BUDGET_S:-3}"
-fi
-if [[ -n "$spot_bench" ]]; then
-  echo "=== bench/spot_sweep: volatility regimes, self-checks, BENCH_spot.json identity ==="
-  ./bench/spot_sweep --json "$spot_json"
-  cmp ../BENCH_spot.json "$spot_json"
 fi
 test_elapsed=$((SECONDS - test_start))
 if [[ -n "$budget_s" ]]; then
