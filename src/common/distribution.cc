@@ -44,21 +44,11 @@ Distribution Distribution::Empirical(std::vector<double> samples) {
 Distribution::Distribution(std::vector<double> samples)
     : kind_(Kind::kEmpirical), samples_(std::move(samples)) {}
 
-double Distribution::Sample(Rng& rng) const {
+double Distribution::SampleOutOfLine(Rng& rng) const {
   switch (kind_) {
     case Kind::kConstant:
-      return a_;
-    case Kind::kTruncatedNormal: {
-      // Rejection sampling; the truncation point is at or below the mean in
-      // all our uses, so acceptance is >= 0.5 and this terminates quickly.
-      for (int attempt = 0; attempt < 1000; ++attempt) {
-        const double x = rng.Normal(a_, b_);
-        if (x >= c_) {
-          return x;
-        }
-      }
-      return c_;
-    }
+    case Kind::kTruncatedNormal:
+      return Sample(rng);  // inline in the header
     case Kind::kLogNormal:
       return rng.LogNormal(a_, b_);
     case Kind::kExponential:

@@ -34,7 +34,27 @@ class Distribution {
   // Resamples uniformly from observed values; used by the profiler.
   static Distribution Empirical(std::vector<double> samples);
 
-  double Sample(Rng& rng) const;
+  // The constant and truncated-normal cases, which the planner's stage
+  // sampling draws from most, are inline; the rest are out of line.
+  double Sample(Rng& rng) const {
+    switch (kind_) {
+      case Kind::kConstant:
+        return a_;
+      case Kind::kTruncatedNormal:
+        // Rejection sampling; the truncation point is at or below the mean
+        // in all our uses, so acceptance is >= 0.5 and this terminates
+        // quickly. After 1000 rejections it returns the truncation point.
+        for (int attempt = 0; attempt < 1000; ++attempt) {
+          const double x = rng.Normal(a_, b_);
+          if (x >= c_) {
+            return x;
+          }
+        }
+        return c_;
+      default:
+        return SampleOutOfLine(rng);
+    }
+  }
 
   // Analytic mean where available; sample mean for Empirical. For the
   // truncated normal this is the mean of the *truncated* distribution.
@@ -54,6 +74,9 @@ class Distribution {
 
   Distribution(Kind kind, double a, double b, double c) : kind_(kind), a_(a), b_(b), c_(c) {}
   explicit Distribution(std::vector<double> samples);
+
+  // Sample() for the lognormal, exponential, uniform and empirical kinds.
+  double SampleOutOfLine(Rng& rng) const;
 
   Kind kind_;
   double a_ = 0.0;  // constant value | mean | log_mean | mean | lo

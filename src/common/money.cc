@@ -1,18 +1,9 @@
 #include "src/common/money.h"
 
-#include <cmath>
 #include <cstdio>
 #include <ostream>
 
 namespace rubberband {
-
-Money Money::FromDollars(double dollars) {
-  return Money(static_cast<int64_t>(std::llround(dollars * 1e6)));
-}
-
-Money Money::operator*(double factor) const {
-  return Money(static_cast<int64_t>(std::llround(static_cast<double>(micros_) * factor)));
-}
 
 std::string Money::ToString() const {
   const int64_t abs_micros = micros_ < 0 ? -micros_ : micros_;

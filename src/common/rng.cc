@@ -76,12 +76,8 @@ uint64_t StreamTape::Extend(uint32_t offset) {
   return words_[offset];
 }
 
-double StreamTape::StandardNormal(uint32_t* offset) {
+double StreamTape::DecodeNormal(uint32_t* offset) {
   const uint32_t start = *offset;
-  if (start < decodes_.size() && decodes_[start].next != 0) {
-    *offset = decodes_[start].next;
-    return decodes_[start].z;
-  }
   // libstdc++ returns z * stddev + mean; a mean of -0.0 adds nothing to any
   // z, so this is the decoded z itself with the sign of a zero kept.
   TapeReader reader{this, offset};
@@ -106,15 +102,12 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return Draw(std::uniform_int_distribution<int64_t>(lo, hi));
 }
 
-// A tape replays a normal as libstdc++'s std::normal_distribution finishes
-// one, z * stddev + mean, and a lognormal as std::lognormal_distribution
-// does, exp(s * (z * 1.0 + 0.0) + m) over its inner standard normal; z * 1.0
-// is z.
-double Rng::Normal(double mean, double stddev) {
-  if (tape_ == nullptr) return std::normal_distribution<double>(mean, stddev)(engine_);
-  return tape_->StandardNormal(&cursor_) * stddev + mean;
+double Rng::EngineNormal(double mean, double stddev) {
+  return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 
+// A tape replays a lognormal as std::lognormal_distribution does,
+// exp(s * (z * 1.0 + 0.0) + m) over its inner standard normal; z * 1.0 is z.
 double Rng::LogNormal(double log_mean, double log_stddev) {
   if (tape_ == nullptr) {
     return std::lognormal_distribution<double>(log_mean, log_stddev)(engine_);

@@ -77,8 +77,15 @@ class StreamTape {
 
   // The standard normal std::normal_distribution<double> decodes from the
   // words at *offset (exactly, sign of zero included); advances *offset past
-  // the words the decode consumed.
-  double StandardNormal(uint32_t* offset);
+  // the words the decode consumed. A memoized decode is served inline.
+  double StandardNormal(uint32_t* offset) {
+    const uint32_t start = *offset;
+    if (start < decodes_.size() && decodes_[start].next != 0) {
+      *offset = decodes_[start].next;
+      return decodes_[start].z;
+    }
+    return DecodeNormal(offset);
+  }
 
  private:
   struct Decode {
@@ -87,6 +94,8 @@ class StreamTape {
   };
 
   uint64_t Extend(uint32_t offset);
+  // Decodes and memoizes the standard normal at *offset.
+  double DecodeNormal(uint32_t* offset);
 
   Mt19937_64 engine_;
   std::vector<uint64_t> words_;
@@ -106,7 +115,12 @@ class Rng {
   // Uniform integer in [lo, hi] (inclusive).
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  double Normal(double mean, double stddev);
+  // A tape replays a normal as libstdc++'s std::normal_distribution
+  // finishes one: z * stddev + mean.
+  double Normal(double mean, double stddev) {
+    if (tape_ != nullptr) return tape_->StandardNormal(&cursor_) * stddev + mean;
+    return EngineNormal(mean, stddev);
+  }
   double LogNormal(double log_mean, double log_stddev);
   double Exponential(double mean);
 
@@ -137,6 +151,7 @@ class Rng {
   // Runs a standard distribution over the engine or the tape.
   template <typename Distribution>
   typename Distribution::result_type Draw(Distribution dist);
+  double EngineNormal(double mean, double stddev);
 
   Mt19937_64 engine_;
   StreamTape* tape_ = nullptr;  // when set, draws replay the tape

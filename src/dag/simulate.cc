@@ -36,8 +36,10 @@ StageDraw SampleStageDraw(const StageBlock& block, Rng& rng) {
     }
   } else {
     // Queued: `gpus` one-GPU slots; slot s runs trials s, s+gpus, ...
-    // serially, so each slot's finish time accumulates.
-    std::vector<Seconds> slot_done(static_cast<size_t>(block.gpus), entry);
+    // serially, so each slot's finish time accumulates. The slot list is
+    // the thread's, reused from draw to draw.
+    thread_local std::vector<Seconds> slot_done;
+    slot_done.assign(static_cast<size_t>(block.gpus), entry);
     for (int t = 0; t < block.trials; ++t) {
       const double duration = block.train_latency.Sample(rng);
       draw.train_gpu_seconds += duration;
@@ -58,28 +60,35 @@ SampleComposer::SampleComposer(const ModelProfile& model, const CloudProfile& cl
       gpu_second_(cloud.instance.GpuSecondPrice()),
       min_billed_(cloud.pricing.minimum_billed_seconds) {}
 
-void SampleComposer::Bill(Seconds launch, Seconds release) {
-  compute_ += per_second_ * std::max(release - launch, min_billed_);
+void SampleComposer::Bill(Seconds launch, Seconds release, int count) {
+  const Money each = per_second_ * std::max(release - launch, min_billed_);
+  compute_ += Money::FromMicros(each.micros() * count);
 }
 
 void SampleComposer::AddStage(const StageBlock& block, const StageDraw& draw) {
   total_provisioned_ += block.new_instances;
   if (per_instance_) {
     const int needed = block.instances;
-    const int alive = static_cast<int>(slot_launch_.size());
-    if (needed > alive) {
+    if (needed > alive_) {
       // New instances launch when the provider serves the SCALE request.
       const Seconds launch =
           block.new_instances > 0 ? clock_ + draw.scale_done : clock_;
-      slot_launch_.resize(static_cast<size_t>(needed), launch);
-    } else if (needed < alive) {
+      launches_.push_back({launch, needed - alive_});
+    } else if (needed < alive_) {
       // Shrink at the stage boundary; release the most recently launched
       // instances first (they have accrued the least minimum-charge value).
-      for (int k = 0; k < alive - needed; ++k) {
-        Bill(slot_launch_.back(), clock_);
-        slot_launch_.pop_back();
+      for (int released = alive_ - needed; released > 0;) {
+        Launch& last = launches_.back();
+        const int count = std::min(released, last.count);
+        Bill(last.time, clock_, count);
+        released -= count;
+        last.count -= count;
+        if (last.count == 0) {
+          launches_.pop_back();
+        }
       }
     }
+    alive_ = needed;
   } else {
     compute_ += gpu_second_ * draw.train_gpu_seconds;
   }
@@ -87,16 +96,21 @@ void SampleComposer::AddStage(const StageBlock& block, const StageDraw& draw) {
 }
 
 PlanSample SampleComposer::Finish() {
-  for (Seconds launch : slot_launch_) {
-    Bill(launch, clock_);
+  for (const Launch& launch : launches_) {
+    Bill(launch.time, clock_, launch.count);
   }
-  slot_launch_.clear();
   PlanSample sample;
   sample.duration = clock_;
   sample.compute_cost = compute_;
   sample.data_cost = cloud_.pricing.data_price_per_gb *
                      (model_.dataset_gb * static_cast<double>(total_provisioned_));
   sample.cost = sample.compute_cost + sample.data_cost;
+  // Back to an empty plan; the launch list keeps its capacity for the next.
+  clock_ = 0.0;
+  launches_.clear();
+  alive_ = 0;
+  compute_ = Money();
+  total_provisioned_ = 0;
   return sample;
 }
 

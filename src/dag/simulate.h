@@ -88,7 +88,15 @@ StageDraw SampleStageDraw(const StageBlock& block, Rng& rng);
 
 // Folds stage draws into one plan sample: advances the stage clock and
 // reconstructs per-instance billing intervals (or accumulates per-function
-// GPU-seconds). Feed stages in plan order, then call Finish() once.
+// GPU-seconds). Feed stages in plan order, then call Finish(), which
+// returns the sample and resets the composer to an empty plan: one composer
+// composes every sample of a plan, and its launch list stops allocating
+// after the first.
+//
+// Alive instances are kept as launches, one per scale-up with its instance
+// count: the instances of one launch bill the same interval, so one rounded
+// charge times the count is exactly the sum of their charges (money is
+// integral), at one rounding per launch instead of one per instance.
 class SampleComposer {
  public:
   SampleComposer(const ModelProfile& model, const CloudProfile& cloud);
@@ -97,7 +105,13 @@ class SampleComposer {
   PlanSample Finish();
 
  private:
-  void Bill(Seconds launch, Seconds release);
+  struct Launch {
+    Seconds time = 0.0;  // when the provider served the SCALE request
+    int count = 0;       // of its instances still alive
+  };
+
+  // Bills `count` instances held from `launch` to `release`.
+  void Bill(Seconds launch, Seconds release, int count);
 
   const ModelProfile& model_;
   const CloudProfile& cloud_;
@@ -106,7 +120,8 @@ class SampleComposer {
   const Money gpu_second_;
   const Seconds min_billed_;
   Seconds clock_ = 0.0;  // completion time of the last composed barrier
-  std::vector<Seconds> slot_launch_;  // launch time of each alive instance
+  std::vector<Launch> launches_;  // oldest first
+  int alive_ = 0;                 // instances over all launches
   Money compute_;
   int total_provisioned_ = 0;
 };

@@ -53,28 +53,28 @@ const PlanEvaluator::StageEntry* PlanEvaluator::GetStage(int stage_index, int gp
     auto it = stage_cache_.find(key);
     if (it != stage_cache_.end()) {
       ++stats_.stage_cache_hits;
-      return it->second.get();
+      return &it->second;
     }
   }
 
   // Miss: sample the stage outside the lock (the expensive part), then
   // publish. A racing thread may have published first; its entry wins and
   // is identical anyway (sampling is pure).
-  auto entry = std::make_unique<StageEntry>();
-  entry->block = MakeStageBlock(inputs_.spec.stage(stage_index), stage_index, gpus,
-                                prev_instances, inputs_.model, inputs_.cloud);
-  entry->draws.reserve(static_cast<size_t>(options_.sim_samples));
+  StageEntry entry;
+  entry.block = MakeStageBlock(inputs_.spec.stage(stage_index), stage_index, gpus,
+                               prev_instances, inputs_.model, inputs_.cloud);
+  entry.draws.reserve(static_cast<size_t>(options_.sim_samples));
   const std::span<StreamTape> tapes = Rng::RecordedStreams(
       options_.seed, static_cast<uint64_t>(stage_index), options_.sim_samples);
   for (StreamTape& tape : tapes) {
     Rng rng(tape);
-    entry->draws.push_back(SampleStageDraw(entry->block, rng));
+    entry.draws.push_back(SampleStageDraw(entry.block, rng));
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = stage_cache_.try_emplace(key, std::move(entry));
   ++stats_.stage_evaluations;
-  return it->second.get();
+  return &it->second;
 }
 
 void PlanEvaluator::ApplyRiskAdjustment(const AllocationPlan& plan,
@@ -132,7 +132,10 @@ PlanEstimate PlanEvaluator::Evaluate(const AllocationPlan& plan) {
 
   plan.Validate(inputs_.spec.num_stages());
   const int num_stages = inputs_.spec.num_stages();
-  std::vector<const StageEntry*> entries(static_cast<size_t>(num_stages));
+  // Reused by every plan this thread scores, so it allocates only when a
+  // plan has more stages than any before it.
+  thread_local std::vector<const StageEntry*> entries;
+  entries.resize(static_cast<size_t>(num_stages));
   int prev_instances = 0;
   for (int i = 0; i < num_stages; ++i) {
     const StageEntry* entry = GetStage(i, plan.gpus(i), prev_instances);
@@ -141,10 +144,11 @@ PlanEstimate PlanEvaluator::Evaluate(const AllocationPlan& plan) {
   }
 
   // Identical composition to SimulatePlan's sweep: same draws, same
-  // arithmetic, same order — so the two match bit for bit.
+  // arithmetic, same order — so the two match bit for bit. Finish() resets
+  // the composer, so one serves every sample.
   EstimateAccumulator accumulator;
+  SampleComposer composer(inputs_.model, inputs_.cloud);
   for (int s = 0; s < options_.sim_samples; ++s) {
-    SampleComposer composer(inputs_.model, inputs_.cloud);
     for (const StageEntry* entry : entries) {
       composer.AddStage(entry->block, entry->draws[static_cast<size_t>(s)]);
     }

@@ -117,8 +117,9 @@ class PlanEvaluator {
 
  private:
   // A cached stage: its resolved block and one draw per simulation sample.
-  // Entries are immutable once published, so lookups can hold bare
-  // pointers across the (mutex-released) composition pass.
+  // Entries are immutable once published and the map's nodes never move,
+  // so lookups can hold bare pointers across the (mutex-released)
+  // composition pass.
   struct StageEntry {
     StageBlock block;
     std::vector<StageDraw> draws;
@@ -142,7 +143,7 @@ class PlanEvaluator {
   std::shared_ptr<ThreadPool> pool_;  // null: batches run serially
 
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::unique_ptr<StageEntry>> stage_cache_;
+  std::unordered_map<uint64_t, StageEntry> stage_cache_;
   std::unordered_map<std::vector<int>, PlanEstimate, VectorHash> memo_;
   PlannerCacheStats stats_;
 };

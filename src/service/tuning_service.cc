@@ -1,6 +1,7 @@
 #include "src/service/tuning_service.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -59,19 +60,6 @@ bool ReadNumber(const JsonValue& value, const std::string& name, bool integral, 
   }
   *out = number;
   return true;
-}
-
-// The fleet-mode shared-evaluator key of a job's shape. ASHA jobs get their
-// own key space: an envelope shaped like a plain SHA job must not inherit
-// its memoized greedy plan.
-std::string ShapeKey(const JobRequest& request) {
-  return (request.asha != nullptr ? std::string("asha|") : std::string()) +
-         request.workload.name + "|" + request.spec.ToString();
-}
-
-// The fleet-mode arrival-plan memo key of a shape and a deadline.
-std::string ArrivalPlanKey(const std::string& shape_key, Seconds deadline) {
-  return shape_key + "|" + std::to_string(deadline);
 }
 
 // `json[key]`, or null when `json` is no object or lacks `key`.
@@ -225,6 +213,11 @@ int TuningService::ReservationLimit() const {
   return static_cast<int>(config_.capacity_gpus * std::max(1.0, config_.overcommit));
 }
 
+TuningService::ArrivalKey TuningService::ArrivalKeyOf(const JobRequest& request) {
+  return {ShapeKey{request.asha != nullptr, request.workload.name, request.spec.stages()},
+          std::bit_cast<uint64_t>(request.deadline)};
+}
+
 const ModelProfile& TuningService::ProfileFor(const WorkloadSpec& workload) {
   auto it = profiles_.find(workload.name);
   if (it == profiles_.end()) {
@@ -267,14 +260,13 @@ AdmissionDecision TuningService::PlanFor(Job& job, Seconds time_left, bool* memo
     // per call, but the plan memo is keyed by allocation, not deadline, so
     // the caches survive set_deadline (the same property the per-job
     // dequeue re-plan has always relied on).
-    const std::string key = ShapeKey(job.request);
+    ArrivalKey arrival = ArrivalKeyOf(job.request);
+    const ShapeKey& key = arrival.first;
     const bool at_arrival = time_left == job.request.deadline;
-    std::string plan_key;
     if (at_arrival) {
       // Arrival-time planning is a pure function of (shape, deadline):
       // memoize the whole decision, not just the evaluator caches.
-      plan_key = ArrivalPlanKey(key, time_left);
-      const auto cached = admission_plans_.find(plan_key);
+      const auto cached = admission_plans_.find(arrival);
       if (cached != admission_plans_.end()) {
         if (memo_hit != nullptr) {
           *memo_hit = true;
@@ -293,7 +285,7 @@ AdmissionDecision TuningService::PlanFor(Job& job, Seconds time_left, bool* memo
     decision.planned = asha ? PlanStatic(*it->second) : PlanGreedy(*it->second);
     decision.cache += it->second->stats();
     if (at_arrival) {
-      admission_plans_.emplace(std::move(plan_key), decision.planned);
+      admission_plans_.emplace(std::move(arrival), decision.planned);
     }
     return decision;
   }
@@ -331,8 +323,7 @@ void TuningService::OnArrival(size_t index) {
     // from the memo exactly as the planned run did.
     retired_cache_ += job.arrival_cache;
     if (config_.share_admission_evaluator) {
-      admission_plans_.emplace(ArrivalPlanKey(ShapeKey(job.request), job.request.deadline),
-                               job.planned);
+      admission_plans_.emplace(ArrivalKeyOf(job.request), job.planned);
     }
   } else {
     bool memo_hit = false;

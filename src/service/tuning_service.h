@@ -34,11 +34,13 @@
 #ifndef SRC_SERVICE_TUNING_SERVICE_H_
 #define SRC_SERVICE_TUNING_SERVICE_H_
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cloud/warm_pool.h"
@@ -331,6 +333,21 @@ class TuningService {
   ServiceReport SnapshotReport();
 
  private:
+  // A job's shape as fleet mode keys its shared evaluator: the workload,
+  // the stages, and whether an ASHA engine runs it (an envelope shaped
+  // like a plain SHA job must not inherit its memoized greedy plan).
+  struct ShapeKey {
+    bool asha = false;
+    std::string workload;
+    std::vector<Stage> stages;
+    auto operator<=>(const ShapeKey&) const = default;
+  };
+  // The arrival-plan memo key: a shape and the exact bits of the deadline.
+  // Deadlines a hair apart are different planning problems, and a plan
+  // that just meets one can miss the other.
+  using ArrivalKey = std::pair<ShapeKey, uint64_t>;
+  static ArrivalKey ArrivalKeyOf(const JobRequest& request);
+
   struct Job {
     JobRequest request;
     JobOutcome outcome;
@@ -432,15 +449,15 @@ class TuningService {
   bool shares_dirty_ = false;
   // The evaluators' shared planner pool, alive while any evaluator holds it.
   std::weak_ptr<ThreadPool> planner_pool_;
-  // Pooled admission evaluators, keyed by workload + spec shape
+  // Pooled admission evaluators, keyed by shape
   // (ServiceConfig::share_admission_evaluator).
-  std::map<std::string, std::unique_ptr<PlanEvaluator>> shared_evaluators_;
+  std::map<ShapeKey, std::unique_ptr<PlanEvaluator>> shared_evaluators_;
   // Memoized arrival-time planning decisions: two jobs with the same shape
   // and the same full deadline get the same plan, so a fleet of identical
   // tenants runs the greedy planner once, not 100k times. Dequeue re-plans
   // (time_left < deadline, unbounded distinct values) bypass this cache and
   // go to the shared evaluator's warm memos instead.
-  std::map<std::string, PlannedJob> admission_plans_;
+  std::map<ArrivalKey, PlannedJob> admission_plans_;
   // Completed jobs whose executors await the deferred free.
   std::vector<size_t> retired_executors_;
   // EventCallback heap fallbacks at construction (the sim.* injection

@@ -10,6 +10,7 @@
 #ifndef SRC_SPEC_EXPERIMENT_SPEC_H_
 #define SRC_SPEC_EXPERIMENT_SPEC_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,6 +22,8 @@ struct Stage {
   // Incremental training iterations assigned to each surviving trial in
   // this stage (not cumulative).
   int64_t iters_per_trial = 0;
+
+  auto operator<=>(const Stage&) const = default;
 };
 
 class ExperimentSpec {

@@ -74,6 +74,28 @@ TEST(Distribution, TruncatedNormalRespectsFloor) {
   EXPECT_NEAR(stats.mean(), d.Mean(), 0.15);
 }
 
+// A truncation point no draw reaches: the sampler gives up after exactly
+// 1000 normals and returns the point, so the stream continues where 1000
+// normals leave it, on a fresh engine and on a recorded tape alike.
+TEST(Distribution, TruncatedNormalGivesUpAfterExactly1000Draws) {
+  const Distribution unreachable = Distribution::TruncatedNormal(0.0, 1.0, 100.0);
+  Rng reference = Rng::ForStream(5, 6, 0);
+  for (int i = 0; i < 1000; ++i) {
+    reference.Normal(0.0, 1.0);
+  }
+  const double next = reference.Uniform(0.0, 1.0);
+
+  Rng fresh = Rng::ForStream(5, 6, 0);
+  EXPECT_EQ(unreachable.Sample(fresh), 100.0);
+  EXPECT_EQ(fresh.Uniform(0.0, 1.0), next);
+
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass reads memoized decodes
+    Rng replay(Rng::RecordedStreams(5, 6, 1)[0]);
+    EXPECT_EQ(unreachable.Sample(replay), 100.0);
+    EXPECT_EQ(replay.Uniform(0.0, 1.0), next);
+  }
+}
+
 TEST(Distribution, TruncatedNormalMildTruncationMatchesNormal) {
   const Distribution d = Distribution::TruncatedNormal(100.0, 5.0, 0.0);
   EXPECT_NEAR(d.Mean(), 100.0, 1e-6);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 
 #include "src/common/thread_pool.h"
@@ -105,6 +106,59 @@ TEST(PlanEvaluator, IncrementalMatchesFreshBitForBit) {
       const PlanEstimate reference =
           SimulatePlan(dag, inputs.model, inputs.cloud, {options.sim_samples, options.seed});
       ExpectSameEstimate(incremental.Evaluate(plan), reference);
+    }
+  }
+}
+
+// The same identity over the paths the default inputs miss. One evaluator
+// scores every plan with one composer per plan, so per-instance plans that
+// shrink and then grow, under a minimum charge longer than any stage and
+// an ingress charge per provisioned instance, check that each sample
+// starts from an empty plan. A truncated normal whose mean is its
+// truncation point rejects half its draws; lognormal, exponential, uniform
+// and empirical latencies sample out of line.
+TEST(PlanEvaluator, IncrementalMatchesFreshOnEveryDistributionPath) {
+  struct Case {
+    const char* name;
+    Distribution queuing;
+    Distribution init;
+    bool empirical_iter_latency;
+  };
+  const Case cases[] = {
+      {"truncated at mean / lognormal", Distribution::TruncatedNormal(20.0, 8.0, 20.0),
+       Distribution::LogNormal(std::log(40.0), 0.5), false},
+      {"exponential / truncated at mean", Distribution::Exponential(15.0),
+       Distribution::TruncatedNormal(60.0, 20.0, 60.0), true},
+      {"uniform / exponential", Distribution::Uniform(5.0, 25.0), Distribution::Exponential(45.0),
+       true},
+  };
+  for (const Case& c : cases) {
+    for (BillingModel billing : {BillingModel::kPerInstance, BillingModel::kPerFunction}) {
+      SCOPED_TRACE(c.name);
+      PlannerInputs inputs = TestInputs(Minutes(30), billing);
+      inputs.cloud.provisioning = ProvisioningModel{c.queuing, c.init};
+      inputs.cloud.pricing.minimum_billed_seconds = 1e5;
+      // Ingress is charged per instance provisioned, so a sample that
+      // inherited the last one's instance count would cost more.
+      inputs.cloud.pricing.data_price_per_gb = Money::FromCents(9);
+      inputs.model.dataset_gb = 12.5;
+      if (c.empirical_iter_latency) {
+        // What the profiler produces: a bag of observed iteration latencies.
+        inputs.model.iter_latency_1gpu = Distribution::Empirical({27.5, 29.0, 30.0, 31.5, 36.0});
+      }
+      const PlannerOptions options;
+      PlanEvaluator incremental(inputs, options);
+      const std::vector<AllocationPlan> plans = {
+          AllocationPlan({16, 4, 16}), AllocationPlan({8, 4, 8}), AllocationPlan({16, 4, 8}),
+          AllocationPlan({4, 8, 16}),  AllocationPlan({16, 8, 4}), AllocationPlan({8, 2, 16}),
+      };
+      for (const AllocationPlan& plan : plans) {
+        SCOPED_TRACE(plan.ToString());
+        const ExecutionDag dag = BuildDag(inputs.spec, plan, inputs.model, inputs.cloud);
+        const PlanEstimate reference =
+            SimulatePlan(dag, inputs.model, inputs.cloud, {options.sim_samples, options.seed});
+        ExpectSameEstimate(incremental.Evaluate(plan), reference);
+      }
     }
   }
 }

@@ -446,6 +446,40 @@ TEST(Service, SharedEvaluatorsPlanOnOneBoundedPool) {
   }
 }
 
+// Fleet mode memoizes each arrival's whole admission decision by shape and
+// deadline. The key must hold the deadline exactly: an arrival whose
+// deadline is a hair shorter than an earlier same-shape arrival's is a
+// different planning problem, and the earlier plan can miss it.
+TEST(Service, ArrivalPlanMemoKeysTheExactDeadline) {
+  ServiceConfig config = BaseConfig();
+  config.share_admission_evaluator = true;
+  const auto plan_alone = [&](Seconds deadline) {
+    TuningService service(config);
+    const size_t index = service.SubmitLive(MakeJob("alone", 0.0, deadline));
+    service.Run();
+    return service.planned(index);
+  };
+  // Job a's deadline is its own plan's estimated JCT, so that plan just
+  // meets it; job b's deadline is 10 ns shorter.
+  const Seconds deadline_a = plan_alone(1350.0).estimate.jct_mean;
+  const Seconds deadline_b = deadline_a - 1e-8;
+  const PlannedJob a_alone = plan_alone(deadline_a);
+  const PlannedJob b_alone = plan_alone(deadline_b);
+  ASSERT_TRUE(a_alone.feasible);
+  ASSERT_TRUE(b_alone.feasible);
+  ASSERT_EQ(a_alone.estimate.jct_mean, deadline_a);
+  ASSERT_NE(a_alone.plan, b_alone.plan);
+
+  TuningService service(config);
+  const size_t a = service.SubmitLive(MakeJob("a", 0.0, deadline_a));
+  const size_t b = service.SubmitLive(MakeJob("b", 10.0, deadline_b));
+  service.Run();
+  EXPECT_EQ(service.planned(a).plan, a_alone.plan);
+  EXPECT_EQ(service.planned(b).plan, b_alone.plan);
+  EXPECT_TRUE(service.planned(b).estimate.MeetsDeadline(deadline_b))
+      << service.planned(b).estimate.jct_mean << " s estimated";
+}
+
 TEST(Service, BudgetRejectsJobsWhoseCheapestPlanIsTooExpensive) {
   ServiceConfig config = BaseConfig();
   JobRequest job = MakeJob("frugal", 0.0, 3600.0);

@@ -43,9 +43,13 @@
 # the checked-in BENCH_chaos.json (the default tier runs that entry too).
 #
 # tools/check.sh --perf runs the control-plane/DES-kernel throughput
-# gate in the default build tree: the EventQueue and RngIdentity suites and
+# gate in the default build tree: the EventQueue and RngIdentity suites,
 # the fleet replay's heap-allocation budget (AllocationBudget: at most 200
-# allocations per uniform SHA job), then bench/service_throughput --fleet 10000 (a 10k-job sha trace plus
+# allocations per uniform SHA job), and the exactness of the planner's fast
+# paths (PlanEvaluator: the evaluator bit-identical to SimulatePlan;
+# MoneyRounding: the inline rounding equal to std::llround;
+# TruncatedNormalGivesUp: the inline rejection sampler's 1000-draw bound),
+# then bench/service_throughput --fleet 10000 (a 10k-job sha trace plus
 # a 2k-experiment mixed-scheduler trace) under a wall-clock budget
 # (RB_PERF_BUDGET_S, default 3s: about 5x the slowest of five default-build
 # runs, 0.45-0.55s on a 4-vCPU host), plus the kernel microbench allocation
@@ -120,7 +124,7 @@ elif [[ "${1:-}" == "--server" ]]; then
 elif [[ "${1:-}" == "--chaos" ]]; then
   ctest_args+=(-R "Wal|Idempotency|ServerFault|SnapshotRestore|SurviveRestore|DrainPersists|ChaosServer")
 elif [[ "${1:-}" == "--perf" ]]; then
-  ctest_args+=(-R "EventQueue|RngIdentity|AllocationBudget")
+  ctest_args+=(-R "EventQueue|RngIdentity|AllocationBudget|PlanEvaluator|MoneyRounding|TruncatedNormalGivesUp")
   perf_bench=1
 elif [[ "${1:-}" == "--spot" ]]; then
   ctest_args+=(-R "Spot")
