@@ -19,13 +19,28 @@ void Appendf(std::string& out, const char* fmt, ...) {
   }
 }
 
+const char* Plural(int n) { return n == 1 ? "" : "s"; }
+
+// The optional summary lines, decided once for every surface: the
+// execution and service summaries, on the CLI and on the wire.
+struct OptionalLines {
+  bool faults;
+  bool stragglers;
+  bool spot;
+};
+
+OptionalLines LinesFor(const CloudProfile& cloud, int64_t stragglers_detected) {
+  return {cloud.fault.Any(), cloud.fault.straggler_rate > 0.0 || stragglers_detected > 0,
+          cloud.spot.enabled};
+}
+
 }  // namespace
 
-std::string FormatExecutionSummary(const ExecutionReport& report,
-                                   const ExecutionFormatOptions& options) {
+std::string FormatExecutionSummary(const ExecutionReport& report, const CloudProfile& cloud,
+                                   Seconds deadline) {
   using T = TraceEventType;
   const auto count = [&report](T type) { return report.trace.Count(type); };
-  const auto plural = [](int n) { return n == 1 ? "" : "s"; };
+  const OptionalLines lines = LinesFor(cloud, count(T::kStragglerDetected));
   std::string out;
   Appendf(out, "\nexecuted: JCT %s, cost %s (compute %s + data %s)\n",
           FormatDuration(report.jct).c_str(), report.cost.Total().ToString().c_str(),
@@ -33,7 +48,7 @@ std::string FormatExecutionSummary(const ExecutionReport& report,
   Appendf(out, "utilization %.0f%%, preemptions %d, best config %s, accuracy %.1f%%\n",
           100.0 * report.realized_utilization, count(T::kPreemption),
           report.best_config.ToString().c_str(), 100.0 * report.best_accuracy);
-  if (options.show_faults) {
+  if (lines.faults) {
     Appendf(out,
             "faults: %d crashes, %d provision failures (%d retried, %d abandoned), "
             "%d checkpoint retries\n",
@@ -43,26 +58,26 @@ std::string FormatExecutionSummary(const ExecutionReport& report,
             "recovery: %d trial restarts, %.0fs spent recovering, %d degraded stage%s, "
             "%d replan%s%s\n",
             count(T::kTrialRestart), report.recovery_seconds, count(T::kStageDegraded),
-            plural(count(T::kStageDegraded)), count(T::kReplan), plural(count(T::kReplan)),
-            report.jct <= options.deadline ? ", deadline met" : ", deadline MISSED");
+            Plural(count(T::kStageDegraded)), count(T::kReplan), Plural(count(T::kReplan)),
+            report.jct <= deadline ? ", deadline met" : ", deadline MISSED");
   }
-  if (options.show_stragglers) {
+  if (lines.stragglers) {
     Appendf(out,
             "stragglers: %d injected, %d detected (%d false positive%s), "
             "%d quarantined, %.0fs slowdown avoided for %.0fs mitigation cost\n",
             report.stragglers_injected, count(T::kStragglerDetected),
-            count(T::kStragglerFalsePositive), plural(count(T::kStragglerFalsePositive)),
+            count(T::kStragglerFalsePositive), Plural(count(T::kStragglerFalsePositive)),
             count(T::kStragglerQuarantined), report.straggler_slowdown_avoided,
             report.straggler_mitigation_seconds);
   }
-  if (options.show_spot) {
+  if (lines.spot) {
     Appendf(out,
             "spot: saved %s vs on-demand, %d warning%s -> %d eager checkpoint%s, "
             "%.0fs rework, %d market fallback%s\n",
             report.spot_savings.ToString().c_str(), count(T::kPreemptionWarning),
-            plural(count(T::kPreemptionWarning)), report.eager_checkpoints,
-            plural(report.eager_checkpoints), report.spot_rework_seconds,
-            count(T::kMarketFallback), plural(count(T::kMarketFallback)));
+            Plural(count(T::kPreemptionWarning)), report.eager_checkpoints,
+            Plural(report.eager_checkpoints), report.spot_rework_seconds,
+            count(T::kMarketFallback), Plural(count(T::kMarketFallback)));
   }
   return out;
 }
@@ -97,8 +112,7 @@ std::string FormatServiceJobTable(const ServiceReport& report) {
   return out;
 }
 
-std::string FormatServiceSummary(const ServiceReport& report,
-                                 const ServiceFormatOptions& options) {
+std::string FormatServiceSummary(const ServiceReport& report, const CloudProfile& cloud) {
   std::string out;
   Appendf(out, "\nserved %d/%d jobs (%d rejected), %d deadline miss%s\n", report.completed,
           static_cast<int>(report.jobs.size()), report.rejected, report.deadline_misses,
@@ -126,28 +140,36 @@ std::string FormatServiceSummary(const ServiceReport& report,
                                  report.planner_cache.plan_evaluations),
           100.0 * report.planner_cache.PlanHitRate(),
           static_cast<long long>(report.planner_cache.stage_cache_hits));
-  if (options.show_faults) {
+  // The fleet totals are the fleet metrics; a family no finished job
+  // carried reads 0.
+  const MetricsSnapshot& fleet = report.metrics;
+  const auto count = [&fleet](const char* name) {
+    return static_cast<int>(fleet.CounterOr0(name));
+  };
+  const OptionalLines lines = LinesFor(cloud, count("executor.stragglers_detected"));
+  if (lines.faults) {
     Appendf(out, "faults: %d crashes, %d provision failures, %d replans, %.0fs recovery\n",
-            report.total_crashes, report.total_provision_failures, report.total_replans,
-            report.total_recovery_seconds);
+            count("executor.crashes"), count("executor.provision_failures"),
+            count("executor.replans"), fleet.GaugeOr0("executor.recovery_seconds"));
   }
-  if (options.show_stragglers) {
+  if (lines.stragglers) {
+    const int false_positives = count("executor.straggler_false_positives");
     Appendf(out,
             "stragglers: %d injected fleet-wide, %d detected (%d false positive%s), "
             "%d quarantined, %.0fs mitigation cost\n",
-            report.stragglers_injected, report.total_stragglers_detected,
-            report.total_straggler_false_positives,
-            report.total_straggler_false_positives == 1 ? "" : "s",
-            report.total_stragglers_quarantined, report.total_straggler_mitigation_seconds);
+            report.stragglers_injected, count("executor.stragglers_detected"), false_positives,
+            Plural(false_positives), count("executor.stragglers_quarantined"),
+            fleet.GaugeOr0("executor.straggler_mitigation_seconds"));
   }
-  if (options.show_spot) {
+  if (lines.spot) {
+    const int preemptions = count("executor.preemptions");
+    const int fallbacks = count("spot.market_fallbacks");
     Appendf(out,
             "spot: saved %s vs on-demand fleet-wide, %d preemption%s (%d warned), "
             "%.0fs rework, %d market fallback%s\n",
-            report.total_spot_savings.ToString().c_str(), report.total_preemptions,
-            report.total_preemptions == 1 ? "" : "s", report.total_preemption_warnings,
-            report.total_spot_rework_seconds, report.total_market_fallbacks,
-            report.total_market_fallbacks == 1 ? "" : "s");
+            Money::FromDollars(fleet.GaugeOr0("spot.savings_dollars")).ToString().c_str(),
+            preemptions, Plural(preemptions), count("spot.preemption_warnings"),
+            fleet.GaugeOr0("spot.rework_seconds"), fallbacks, Plural(fallbacks));
   }
   return out;
 }

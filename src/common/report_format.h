@@ -2,9 +2,13 @@
 //
 // One formatter serves every surface that renders a report — the `execute`
 // and `serve` CLI paths and the serving front door's `report` endpoint —
-// so the human-readable rendering cannot drift between them. The output is
-// byte-identical to the historical CLI printf output (the CLI golden
-// baselines pin it).
+// so the human-readable rendering cannot drift between them. Each summary
+// takes the run's CloudProfile and decides its optional lines itself, by
+// one rule: faults when a fault class is injected, stragglers when
+// injection is on or any straggler was detected, spot when the spot
+// market is on. The service summary reads its fleet counts from the
+// report's metrics, the one fleet tally. The output is byte-identical to
+// the historical CLI printf output (the CLI golden baselines pin it).
 
 #ifndef SRC_COMMON_REPORT_FORMAT_H_
 #define SRC_COMMON_REPORT_FORMAT_H_
@@ -16,42 +20,21 @@
 
 namespace rubberband {
 
-struct ExecutionFormatOptions {
-  // Print the fault/recovery summary lines (the CLI enables this when any
-  // fault class was injected).
-  bool show_faults = false;
-  // Print the straggler summary line (injection configured or detections
-  // observed).
-  bool show_stragglers = false;
-  // Print the spot-market summary line (the CLI enables this when the
-  // profile's spot market is on). Off keeps non-spot output byte-identical
-  // to the golden baselines.
-  bool show_spot = false;
-  // Absolute deadline for the fault summary's met/MISSED tail.
-  Seconds deadline = 0.0;
-};
-
-// "executed: JCT ..., cost ..." plus utilization/fault/straggler lines.
-std::string FormatExecutionSummary(const ExecutionReport& report,
-                                   const ExecutionFormatOptions& options = {});
+// "executed: JCT ..., cost ..." plus utilization/fault/straggler/spot
+// lines. `deadline` (absolute) sets the fault summary's met/MISSED tail.
+std::string FormatExecutionSummary(const ExecutionReport& report, const CloudProfile& cloud,
+                                   Seconds deadline);
 
 // The per-stage allocation table ("epoch range  trials  GPUs/trial ...").
 std::string FormatStageTable(const ExecutionReport& report);
-
-struct ServiceFormatOptions {
-  bool show_faults = false;
-  bool show_stragglers = false;
-  // Spot totals line; gated like the execution formatter's show_spot.
-  bool show_spot = false;
-};
 
 // The per-job state table ("job  state  submit  wait  jct  cost  deadline").
 std::string FormatServiceJobTable(const ServiceReport& report);
 
 // The fleet summary: served/rejected counts, makespan, cost, warm pool,
-// utilization, planner cache, and (optionally) fault/straggler totals.
-std::string FormatServiceSummary(const ServiceReport& report,
-                                 const ServiceFormatOptions& options = {});
+// utilization, planner cache, and the fault/straggler/spot totals the
+// cloud calls for.
+std::string FormatServiceSummary(const ServiceReport& report, const CloudProfile& cloud);
 
 }  // namespace rubberband
 

@@ -112,6 +112,16 @@ double HistogramSnapshot::QuantileNs(double q) const {
   return static_cast<double>(bounds_ns.empty() ? 0 : bounds_ns.back());
 }
 
+int64_t MetricsSnapshot::CounterOr0(const std::string& name) const {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+double MetricsSnapshot::GaugeOr0(const std::string& name) const {
+  const auto it = gauges.find(name);
+  return it == gauges.end() ? 0.0 : it->second;
+}
+
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.counters) {
     counters[name] += value;

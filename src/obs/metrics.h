@@ -128,6 +128,10 @@ struct MetricsSnapshot {
 
   bool empty() const { return counters.empty() && gauges.empty() && histograms.empty(); }
 
+  // The named counter or gauge; 0 when absent (a family nothing recorded).
+  int64_t CounterOr0(const std::string& name) const;
+  double GaugeOr0(const std::string& name) const;
+
   // Adds `other` into this snapshot: counters and histograms add exactly,
   // gauges add as accumulators.
   void Merge(const MetricsSnapshot& other);

@@ -25,16 +25,6 @@ std::vector<TimelineSpan> Timeline::OfName(std::string_view name) const {
   return matching;
 }
 
-Seconds Timeline::TotalSeconds(std::string_view name) const {
-  Seconds total = 0.0;
-  for (const TimelineSpan& span : spans_) {
-    if (span.name == name) {
-      total += span.duration();
-    }
-  }
-  return total;
-}
-
 std::string TopPhasesSummary(const Timeline& timeline, size_t top_n) {
   struct PhaseTotal {
     Seconds seconds = 0.0;

@@ -64,9 +64,6 @@ class Timeline {
   // Spans with the given name, in recording order.
   std::vector<TimelineSpan> OfName(std::string_view name) const;
 
-  // Total seconds across spans with the given name.
-  Seconds TotalSeconds(std::string_view name) const;
-
  private:
   std::vector<TimelineSpan> spans_;
 };

@@ -63,7 +63,7 @@ struct WalOptions {
 };
 
 // Append side. Create() starts a fresh journal (truncating any existing
-// file); OpenAppend() resumes one that RecoverWal() already validated.
+// file); OpenAppend() resumes one that ReadWal() already validated.
 class WalWriter {
  public:
   WalWriter() = default;

@@ -470,11 +470,8 @@ OpResult ServiceRunner::HandleReport() {
   result.Set("aggregate_utilization", Num(report.aggregate_utilization));
   // The same renderer the CLI uses, so the wire report and the terminal
   // report cannot drift.
-  ServiceFormatOptions format;
-  format.show_faults = options_.service.cloud.fault.Any();
-  format.show_stragglers = options_.service.cloud.fault.straggler_rate > 0.0 ||
-                           report.total_stragglers_detected > 0;
-  result.Set("text", Str(FormatServiceJobTable(report) + FormatServiceSummary(report, format)));
+  result.Set("text", Str(FormatServiceJobTable(report) +
+                         FormatServiceSummary(report, options_.service.cloud)));
   return OpResult::Ok(std::move(result));
 }
 

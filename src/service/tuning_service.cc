@@ -441,18 +441,12 @@ void TuningService::OnJobDone(size_t index, const ExecutionReport& report) {
   const ExecutionTrace& trace = report.trace;
   job.outcome.preemptions = trace.Count(TraceEventType::kPreemption);
   job.outcome.preemption_warnings = trace.Count(TraceEventType::kPreemptionWarning);
-  job.outcome.market_fallbacks = trace.Count(TraceEventType::kMarketFallback);
   job.outcome.spot_savings = report.spot_savings;
-  job.outcome.spot_rework_seconds = report.spot_rework_seconds;
   job.outcome.crashes = trace.Count(TraceEventType::kInstanceCrash);
   job.outcome.trial_restarts = trace.Count(TraceEventType::kTrialRestart);
   job.outcome.provision_failures = trace.Count(TraceEventType::kProvisionFailure);
   job.outcome.replans = trace.Count(TraceEventType::kReplan);
-  job.outcome.recovery_seconds = report.recovery_seconds;
   job.outcome.stragglers_detected = trace.Count(TraceEventType::kStragglerDetected);
-  job.outcome.stragglers_quarantined = trace.Count(TraceEventType::kStragglerQuarantined);
-  job.outcome.straggler_false_positives = trace.Count(TraceEventType::kStragglerFalsePositive);
-  job.outcome.straggler_mitigation_seconds = report.straggler_mitigation_seconds;
   retired_cache_ += report.planner_cache;
   for (const StageLogEntry& stage : report.stage_log) {
     job.outcome.peak_instances = std::max(job.outcome.peak_instances, stage.instances);
@@ -760,19 +754,6 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
         ++report.in_flight;
         break;
     }
-    report.total_preemptions += job.outcome.preemptions;
-    report.total_preemption_warnings += job.outcome.preemption_warnings;
-    report.total_market_fallbacks += job.outcome.market_fallbacks;
-    report.total_spot_savings += job.outcome.spot_savings;
-    report.total_spot_rework_seconds += job.outcome.spot_rework_seconds;
-    report.total_crashes += job.outcome.crashes;
-    report.total_provision_failures += job.outcome.provision_failures;
-    report.total_replans += job.outcome.replans;
-    report.total_recovery_seconds += job.outcome.recovery_seconds;
-    report.total_stragglers_detected += job.outcome.stragglers_detected;
-    report.total_stragglers_quarantined += job.outcome.stragglers_quarantined;
-    report.total_straggler_false_positives += job.outcome.straggler_false_positives;
-    report.total_straggler_mitigation_seconds += job.outcome.straggler_mitigation_seconds;
     report.jobs.push_back(job.outcome);
     if (job.evaluator != nullptr) {
       report.planner_cache += job.evaluator->stats();
@@ -802,9 +783,8 @@ ServiceReport TuningService::BuildReport(bool require_settled) {
   obs::Set(svc_.GetGauge("cost_per_completed_job_dollars"),
            report.cost_per_completed_job.dollars());
   obs::Set(svc_.GetGauge("aggregate_utilization"), report.aggregate_utilization);
-  // Fleet spot.* totals need no service-side gauges: every finished job's
-  // report carries its spot.* family, and the fleet sum adds them into
-  // exactly the report's totals.
+  // Fleet fault, straggler and spot.* totals need no service-side gauges:
+  // every finished job's report carries its families into the fleet sum.
   // The registry counters accumulate, so repeated reports publish
   // only what changed since the last publish.
   PlannerCacheStats cache_delta = report.planner_cache;

@@ -118,27 +118,21 @@ struct JobOutcome {
   Seconds jct = 0.0;  // submission -> completion, queue wait included
   Money cost;         // this job's attributed compute cost
   double best_accuracy = 0.0;
+  // Per-job attribution of what the provider did to this job, read from
+  // its execution report (zero when the market or fault class is off):
+  // preemptions and the reclamation warnings routed to it, what the spot
+  // discount saved it against the on-demand counterfactual, hardware
+  // crashes, the trial restarts and provisioning failures they cost,
+  // fault-driven re-plans, and persistent stragglers its detector flagged.
+  // The fleet totals, and the seconds each cost, are ServiceReport::metrics.
   int preemptions = 0;
-  // Spot-market attribution (zero when the market is off): warnings routed
-  // to this job, its market switches, what the discount saved it against
-  // the on-demand counterfactual, and the training it had to redo.
   int preemption_warnings = 0;
-  int market_fallbacks = 0;
   Money spot_savings;
-  Seconds spot_rework_seconds = 0.0;
-  // Fault attribution: what the provider did to this job and what the
-  // recovery cost it (per-tenant blast-radius accounting).
   int crashes = 0;
   int trial_restarts = 0;
   int provision_failures = 0;
   int replans = 0;
-  Seconds recovery_seconds = 0.0;
-  // Gray-failure attribution (zero unless the service's straggler policy
-  // and the cloud's injection are enabled).
   int stragglers_detected = 0;
-  int stragglers_quarantined = 0;
-  int straggler_false_positives = 0;
-  Seconds straggler_mitigation_seconds = 0.0;
   // Largest cluster the job actually held — under an overcommitted arbiter
   // this lands below the plan's peak (the cap binding is observable).
   int peak_instances = 0;
@@ -222,32 +216,17 @@ struct ServiceReport {
   int instance_launches = 0;  // real provisioning events (init paid)
   WarmPoolStats warm;
   double aggregate_utilization = 0.0;  // busy GPU-s / provisioned GPU-s
-  // Fleet-wide spot-market totals (sums of the per-job attributions; all
-  // zero when the spot market is off).
-  int total_preemptions = 0;
-  int total_preemption_warnings = 0;
-  int total_market_fallbacks = 0;
-  Money total_spot_savings;
-  Seconds total_spot_rework_seconds = 0.0;
-  // Fleet-wide fault totals (sums of the per-job attributions).
-  int total_crashes = 0;
-  int total_provision_failures = 0;
-  int total_replans = 0;
-  Seconds total_recovery_seconds = 0.0;
-  // Fleet-wide gray-failure totals.
   int stragglers_injected = 0;  // instances the provider launched slow
-  int total_stragglers_detected = 0;
-  int total_stragglers_quarantined = 0;
-  int total_straggler_false_positives = 0;
-  Seconds total_straggler_mitigation_seconds = 0.0;
   // Aggregate planner-cache effectiveness: per-job admission/dequeue
   // evaluators plus every executor's fault-replan evaluators. The plan hit
   // rate is the fraction of plan estimates the service never had to
   // recompute.
   PlannerCacheStats planner_cache;
   // Fleet-wide registry snapshot: service.* admission/queue metrics,
-  // cloud.* provider metrics (the shared registry), and the merged
-  // executor.* metrics of every job.
+  // cloud.* provider metrics (the shared registry), and the fleet sum of
+  // every finished job's executor.*/spot.*/asha.* families. It is the one
+  // fleet tally of faults, stragglers and spot outcomes: read a total with
+  // CounterOr0/GaugeOr0 (0 when no finished job carried the family).
   MetricsSnapshot metrics;
   // Service-level spans ("job", "queue-wait", one pid per job); empty
   // unless ServiceConfig::observe.

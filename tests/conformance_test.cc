@@ -226,31 +226,25 @@ TEST_P(Conformance, SimulationBracketsExecutionAndMetricsReconcile) {
 
   // --- 2b. Registry counters equal trace event counts exactly. ---
   const ExecutionTrace& trace = report.trace;
-  const auto counter = [&](const char* name) {
-    auto it = report.metrics.counters.find(name);
-    return it != report.metrics.counters.end() ? it->second : 0;
-  };
   for (const EventCounter& event_counter : kEventCounters) {
-    EXPECT_EQ(counter(event_counter.metric), EventsOfType(trace, event_counter.type))
+    EXPECT_EQ(report.metrics.CounterOr0(event_counter.metric),
+              EventsOfType(trace, event_counter.type))
         << event_counter.metric;
   }
 
   // The report's scalar fields are views of the same counters.
-  EXPECT_EQ(counter("executor.checkpoint_saves"), report.checkpoint_saves);
-  EXPECT_EQ(counter("executor.checkpoint_fetches"), report.checkpoint_fetches);
+  EXPECT_EQ(report.metrics.CounterOr0("executor.checkpoint_saves"), report.checkpoint_saves);
+  EXPECT_EQ(report.metrics.CounterOr0("executor.checkpoint_fetches"),
+            report.checkpoint_fetches);
 
   // --- 2c. The cloud's billed-seconds gauge equals the meter bit-exactly. ---
   EXPECT_DOUBLE_EQ(run.billed_gauge_seconds, run.billed_meter_seconds);
   // And the instance ledger balances: every launch was terminated or
   // reclaimed by the end of the run.
-  const auto cloud_counter = [&](const char* name) {
-    auto it = run.cloud_metrics.counters.find(name);
-    return it != run.cloud_metrics.counters.end() ? it->second : 0;
-  };
-  EXPECT_EQ(cloud_counter("cloud.instances_launched"),
-            cloud_counter("cloud.instances_terminated") +
-                cloud_counter("cloud.instances_preempted") +
-                cloud_counter("cloud.instances_crashed"));
+  EXPECT_EQ(run.cloud_metrics.CounterOr0("cloud.instances_launched"),
+            run.cloud_metrics.CounterOr0("cloud.instances_terminated") +
+                run.cloud_metrics.CounterOr0("cloud.instances_preempted") +
+                run.cloud_metrics.CounterOr0("cloud.instances_crashed"));
 
   // --- 3. Observability is inert: observe off reproduces the run. ---
   const ConformanceRun baseline = RunCase(test_case, job, spec, workload, /*observe=*/false);
@@ -289,12 +283,9 @@ TEST(ConformanceStandalone, ExecutePlanMetricsEqualItsOwnTrace) {
   ASSERT_FALSE(report.trace.events().empty());
   EXPECT_GT(report.trace.events().back().time, report.jct) << "no event landed after the finish";
 
-  const auto counter = [&](const char* name) {
-    auto it = report.metrics.counters.find(name);
-    return it != report.metrics.counters.end() ? it->second : 0;
-  };
   for (const EventCounter& event_counter : kEventCounters) {
-    EXPECT_EQ(counter(event_counter.metric), EventsOfType(report.trace, event_counter.type))
+    EXPECT_EQ(report.metrics.CounterOr0(event_counter.metric),
+              EventsOfType(report.trace, event_counter.type))
         << event_counter.metric;
   }
   EXPECT_DOUBLE_EQ(report.metrics.gauges.at("executor.cost_dollars"),
@@ -327,15 +318,20 @@ TEST(ConformanceService, ServiceMetricsReconcileWithJobReports) {
   const ServiceReport report = service.Run();
   ASSERT_EQ(report.completed, 3);
 
-  const auto counter = [&](const char* name) {
-    auto it = report.metrics.counters.find(name);
-    return it != report.metrics.counters.end() ? it->second : 0;
-  };
-  EXPECT_EQ(counter("service.jobs_arrived"), 3);
-  EXPECT_EQ(counter("service.jobs_completed"), 3);
-  EXPECT_EQ(counter("executor.crashes"), report.total_crashes);
-  EXPECT_EQ(counter("executor.provision_failures"), report.total_provision_failures);
-  EXPECT_EQ(counter("executor.replans"), report.total_replans);
+  EXPECT_EQ(report.metrics.CounterOr0("service.jobs_arrived"), 3);
+  EXPECT_EQ(report.metrics.CounterOr0("service.jobs_completed"), 3);
+  // The fleet counters equal the sums of the jobs' own attributions.
+  int crashes = 0;
+  int provision_failures = 0;
+  int replans = 0;
+  for (const JobOutcome& job : report.jobs) {
+    crashes += job.crashes;
+    provision_failures += job.provision_failures;
+    replans += job.replans;
+  }
+  EXPECT_EQ(report.metrics.CounterOr0("executor.crashes"), crashes);
+  EXPECT_EQ(report.metrics.CounterOr0("executor.provision_failures"), provision_failures);
+  EXPECT_EQ(report.metrics.CounterOr0("executor.replans"), replans);
 
   // Per-job traces reconcile with the fleet counters.
   for (const EventCounter& event_counter : kEventCounters) {
@@ -343,7 +339,7 @@ TEST(ConformanceService, ServiceMetricsReconcileWithJobReports) {
     for (const JobOutcome& job : report.jobs) {
       in_traces += EventsOfType(job.trace, event_counter.type);
     }
-    EXPECT_EQ(counter(event_counter.metric), in_traces) << event_counter.metric;
+    EXPECT_EQ(report.metrics.CounterOr0(event_counter.metric), in_traces) << event_counter.metric;
   }
   for (const JobOutcome& job : report.jobs) {
     // Each job's stage-total spans sum to its JCT.

@@ -551,7 +551,9 @@ TEST(ServiceFaults, AttributesFaultsPerJobAndCompletesTheTrace) {
   for (const JobOutcome& job : report.jobs) {
     attributed += job.crashes + job.provision_failures;
   }
-  EXPECT_EQ(report.total_crashes + report.total_provision_failures, attributed);
+  EXPECT_EQ(report.metrics.CounterOr0("executor.crashes") +
+                report.metrics.CounterOr0("executor.provision_failures"),
+            attributed);
 }
 
 TEST(ServiceFaults, MixedShapesSurviveCrashesDuringScaleUp) {
@@ -632,12 +634,11 @@ TEST(ServiceFaults, AshaInstanceLossesAreTraceEvents) {
     preemption_events += static_cast<int64_t>(preemptions);
   }
   EXPECT_GT(losses, 0);
-  const auto counter = [&report](const std::string& name) -> int64_t {
-    const auto it = report.metrics.counters.find(name);
-    return it == report.metrics.counters.end() ? -1 : it->second;
-  };
-  EXPECT_EQ(counter("executor.crashes"), crash_events);
-  EXPECT_EQ(counter("executor.preemptions"), preemption_events);
+  // Both counters are exported for ASHA jobs, not merely read as 0.
+  ASSERT_TRUE(report.metrics.counters.contains("executor.crashes"));
+  ASSERT_TRUE(report.metrics.counters.contains("executor.preemptions"));
+  EXPECT_EQ(report.metrics.CounterOr0("executor.crashes"), crash_events);
+  EXPECT_EQ(report.metrics.CounterOr0("executor.preemptions"), preemption_events);
 }
 
 }  // namespace

